@@ -208,15 +208,6 @@ def make_batch(
     return Batch(embeddings=emb, mask=mask, cluster_features=feats, labels=lab)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
@@ -233,10 +224,11 @@ def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
 
 @dataclass
 class _LstmTrace:
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
+    # The i, f, g, o gate activations live side by side in one (B, T, 4H)
+    # buffer because a single tanh over the (B, 4H) pre-activation yields
+    # all four at once; backward slices the blocks it needs.  This takes
+    # the same memory as four (B, T, H) arrays.
+    gates: np.ndarray
     tanh_c: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
@@ -256,29 +248,34 @@ def _lstm_direction(
     order = range(T - 1, -1, -1) if reverse else range(T)
     h = np.zeros((B, H))
     c = np.zeros((B, H))
-    shape = (B, T, H)
-    tr = _LstmTrace(*(np.zeros(shape) for _ in range(8)))
+    tr = _LstmTrace(np.zeros((B, T, 4 * H)), *(np.zeros((B, T, H)) for _ in range(4)))
+    # sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh serves all four gates:
+    # halve the i, f, o pre-activations, then map each t to scale * t + shift.
+    # Halving is exact in floating point, so halving the weights once gives
+    # the same pre-activations as halving every step's sum.
+    scale = np.full(4 * H, 0.5)
+    scale[2 * H : 3 * H] = 1.0
+    shift = 1.0 - scale
+    Ws, Us, bs = W * scale, U * scale, b * scale
     for t in order:
         m = eff[:, t : t + 1]
         tr.h_prev[:, t] = h
         tr.c_prev[:, t] = c
-        z = x[:, t] @ W + h @ U + b
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = _sigmoid(z[:, 3 * H :])
+        z = x[:, t] @ Ws
+        z += h @ Us
+        z += bs
+        gates = tr.gates[:, t]
+        np.tanh(z, out=gates)
+        gates *= scale
+        gates += shift
+        i, f, g, o = np.split(gates, 4, axis=1)
         c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
+        tanh_c = np.tanh(c_new, out=tr.tanh_c[:, t])
         h_new = o * tanh_c
         # Masked steps carry state through unchanged, so padding after a
         # sequence's end never alters it.
         c = m * c_new + (1.0 - m) * c
         h = m * h_new + (1.0 - m) * h
-        tr.i[:, t] = i
-        tr.f[:, t] = f
-        tr.g[:, t] = g
-        tr.o[:, t] = o
-        tr.tanh_c[:, t] = tanh_c
         tr.h_out[:, t] = h
     return tr
 
@@ -307,7 +304,7 @@ def _lstm_direction_backward(
         dh_prev = (1.0 - m) * dh_total
         dc_new = m * dc_carry
         dc_prev = (1.0 - m) * dc_carry
-        i, f, g, o = tr.i[:, t], tr.f[:, t], tr.g[:, t], tr.o[:, t]
+        i, f, g, o = np.split(tr.gates[:, t], 4, axis=1)
         tanh_c = tr.tanh_c[:, t]
         d_o = dh_new * tanh_c
         dc_new = dc_new + dh_new * o * (1.0 - tanh_c**2)

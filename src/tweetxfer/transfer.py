@@ -261,14 +261,24 @@ def _run_epoch(
         net.step(params, grads, state, freeze)
         total += net.loss(probs, batch.labels) * len(idx)
         count += len(idx)
+        # Free this batch's activations and gradients before the next
+        # forward allocates its own, so two batches never coexist.
+        del batch, probs, cache, grads
     return total / count
 
 
 def predict_dataset(
     params: net.NetworkParams, data: EncodedDataset, batch_size: int = 256, max_len: int = 100
 ) -> np.ndarray:
+    """Eval-mode class predictions for every example, in input order.
+
+    Batches are formed in stable order of sequence length, so each one is
+    padded only to its own longest member; padding never changes an
+    example's output.  Predictions are scattered back by index, so the
+    result comes back in input order.
+    """
     preds = np.empty(len(data), dtype=np.int64)
-    order = np.arange(len(data))
+    order = np.argsort([len(s) for s in data.sequences], kind="stable")
     for idx in _batches(len(data), batch_size, order):
         preds[idx] = net.predict(params, _batch_from(data, idx, max_len))
     return preds
@@ -320,14 +330,9 @@ def replace_head(params: net.NetworkParams, n_classes: int, seed: int = 0) -> ne
     rng = np.random.default_rng(seed)
     out = params.copy()
     out.n_classes = n_classes
-    out.arrays["out_W"] = _glorot_like(rng, params.dense, n_classes)
+    out.arrays["out_W"] = net._glorot(rng, (params.dense, n_classes), params.dense, n_classes)
     out.arrays["out_b"] = np.zeros(n_classes)
     return out
-
-
-def _glorot_like(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, (fan_in, fan_out))
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,59 @@ class TestForward:
             forward(params, bad_feats)
 
 
+def _reference_lstm(x, eff, W, U, b, reverse):
+    """Textbook LSTM recurrence with a plain logistic sigmoid."""
+    B, T, _ = x.shape
+    H = U.shape[0]
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    out = np.zeros((B, T, H))
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        z = x[:, t] @ W + h @ U + b
+        i, f, o = sig(z[:, :H]), sig(z[:, H : 2 * H]), sig(z[:, 3 * H :])
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        live = eff[:, t : t + 1] > 0
+        c = np.where(live, c_new, c)
+        h = np.where(live, h_new, h)
+        out[:, t] = h
+    return out
+
+
+class TestLstmCell:
+    def test_matches_plain_reference(self):
+        rng = np.random.default_rng(4)
+        B, T, E, H = 5, 7, 6, 4
+        x = rng.normal(size=(B, T, E))
+        lengths = np.array([7, 3, 5, 1, 6])
+        eff = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
+        W = rng.normal(size=(E, 4 * H))
+        U = rng.normal(size=(H, 4 * H))
+        b = rng.normal(size=4 * H)
+        for reverse in (False, True):
+            tr = net._lstm_direction(x, eff, W, U, b, reverse)
+            expected = _reference_lstm(x, eff, W, U, b, reverse)
+            np.testing.assert_allclose(tr.h_out, expected, rtol=0, atol=1e-12)
+
+    def test_saturated_gates_stay_finite(self):
+        """Huge inputs saturate every gate without overflow or underflow."""
+        params = _small_params()
+        batch = _small_batch()
+        loud = Batch(
+            embeddings=batch.embeddings * 1e3,
+            mask=batch.mask,
+            cluster_features=batch.cluster_features,
+            labels=batch.labels,
+        )
+        for mode in ("eval", "train"):
+            with np.errstate(all="raise"):
+                probs, _ = forward(params, loud, mode=mode, dropout_seed=1)
+            assert np.isfinite(probs).all()
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
 class TestLoss:
     def test_mean_cross_entropy(self):
         probs = np.array([[0.9, 0.1], [0.2, 0.8]])

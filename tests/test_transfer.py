@@ -432,3 +432,30 @@ class TestPredictDataset:
             )
             singles.append(int(net.predict(params, batch)[0]))
         np.testing.assert_array_equal(preds, singles)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 256])
+    def test_mixed_lengths_come_back_in_input_order(self, batch_size):
+        rng = np.random.default_rng(5)
+        n = 24
+        data = transfer.EncodedDataset(
+            sequences=tuple(rng.normal(0.0, 1.0, (int(k), 12)) for k in rng.integers(1, 16, n)),
+            cluster_features=(rng.random((n, 3)) < 0.4).astype(np.float64),
+            labels=np.zeros(n, dtype=np.int64),
+        )
+        params = _tiny_params(3, 3, 4)
+        singles = [
+            int(net.predict(params, net.make_batch([s], f[None]))[0])
+            for s, f in zip(data.sequences, data.cluster_features)
+        ]
+        assert len(set(singles)) > 1
+        np.testing.assert_array_equal(predict_dataset(params, data, batch_size=batch_size), singles)
+
+        perm = rng.permutation(n)
+        shuffled = transfer.EncodedDataset(
+            sequences=tuple(data.sequences[i] for i in perm),
+            cluster_features=data.cluster_features[perm],
+            labels=data.labels[perm],
+        )
+        back = np.empty(n, dtype=np.int64)
+        back[perm] = predict_dataset(params, shuffled, batch_size=batch_size)
+        np.testing.assert_array_equal(back, singles)

@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 for usage problems (bad flags, missing
 arguments), 2 for data problems (unreadable or malformed files, values
 out of range).  All randomness flows from --seed / the config file, so
-reruns with the same inputs produce identical artifacts.
+reruns with the same inputs and BLAS thread count produce identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ def _load_table(path: str | None, cfg: RunConfig) -> embed.EmbeddingTable:
     return embed.load_vectors(
         path, buckets=cfg.ngram_buckets, n_min=cfg.ngram_min,
         n_max=cfg.ngram_max, seed=cfg.embed_seed,
+    )
+
+
+def _fresh_network(
+    cfg: RunConfig, n_classes: int, width: int, embed_dim: int
+) -> net.NetworkParams:
+    """A newly initialised network with the configured layer sizes."""
+    return net.init_params(
+        n_classes, width, seed=cfg.seed, embed_dim=embed_dim,
+        hidden=cfg.lstm_units, filters=cfg.filters, dense=cfg.dense_units,
+        kernels=cfg.kernel_sizes, leaky_slope=cfg.leaky_slope,
     )
 
 
@@ -134,16 +146,12 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
                 tweets, model, textprep.load_stopwords(),
                 infer_iterations=cfg.infer_iterations, seed=cfg.seed,
             )
-    fresh = net.init_params(
-        n_classes=len(task.label_space), cluster_width=cfg.k_users + 1,
-        seed=cfg.seed, embed_dim=table.dim, hidden=cfg.lstm_units,
-        filters=cfg.filters, dense=cfg.dense_units, kernels=cfg.kernel_sizes,
-        leaky_slope=cfg.leaky_slope,
-    )
+    width = cfg.k_users + 1
     params = transfer.pretrain(
-        task, table, cluster_width=cfg.k_users + 1, seed=cfg.seed,
+        task, table, cluster_width=width, seed=cfg.seed,
         epochs=cfg.pretrain_epochs, batch_size=cfg.pretrain_batch,
-        lr=cfg.lr, dropout=cfg.dropout, max_len=cfg.max_len, params=fresh,
+        lr=cfg.lr, dropout=cfg.dropout, max_len=cfg.max_len,
+        params=_fresh_network(cfg, len(task.label_space), width, table.dim),
     )
     net.save_checkpoint(args.out, params)
     print(
@@ -171,11 +179,7 @@ def _cmd_finetune(args: argparse.Namespace) -> int:
     width = clusters.k + 1 if clusters else cfg.k_users + 1
     n_classes = len(_label_names(args.task))
     if args.ckpt.lower() == "none":
-        params = net.init_params(
-            n_classes, width, seed=cfg.seed, embed_dim=table.dim,
-            hidden=cfg.lstm_units, filters=cfg.filters, dense=cfg.dense_units,
-            kernels=cfg.kernel_sizes, leaky_slope=cfg.leaky_slope,
-        )
+        params = _fresh_network(cfg, n_classes, width, table.dim)
     else:
         base, _ = net.load_checkpoint(args.ckpt)
         _check_compat(base, table, width)
@@ -295,12 +299,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    params = net.init_params(
-        n_classes=3, cluster_width=5, seed=cfg.seed,
-        hidden=cfg.lstm_units, filters=cfg.filters, dense=cfg.dense_units,
-        kernels=cfg.kernel_sizes, leaky_slope=cfg.leaky_slope,
-        embed_dim=cfg.embed_dim,
-    )
+    params = _fresh_network(cfg, 3, 5, cfg.embed_dim)
     batch = fixtures.toy_batch(
         n_classes=3, cluster_width=5, embed_dim=cfg.embed_dim, seed=cfg.seed
     )
@@ -430,13 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DataError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

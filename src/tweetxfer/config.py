@@ -3,6 +3,10 @@
 Config files are plain ``key = value`` lines with ``#`` comments.
 Unknown keys and out-of-range values are rejected by name, so a typo
 fails loudly instead of silently training with a default.
+
+The optimizer's only key is ``lr``.  The other Nadam constants
+(beta1 = 0.99, beta2 = 0.999, eps = 1e-8 and the 0.96^(t/250) momentum
+schedule) are fixed in ``net.OptimizerState`` and are not config keys.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ class RunConfig:
     max_len: int = 100
     # optimizer
     lr: float = 0.002
-    beta1: float = 0.99
-    beta2: float = 0.999
-    eps: float = 1e-8
-    schedule_decay: float = 0.004
     # training
     pretrain_epochs: int = 10
     pretrain_batch: int = 128
@@ -56,9 +56,6 @@ class RunConfig:
     baseline_epochs: int = 50
     baseline_lr: float = 0.01
 
-    def alpha_for(self, k: int) -> float:
-        return self.lda_alpha if self.lda_alpha > 0 else 10.0 / k
-
 
 _POSITIVE_INT = (
     "embed_dim", "ngram_min", "ngram_max", "ngram_buckets", "lstm_units",
@@ -67,9 +64,9 @@ _POSITIVE_INT = (
     "k_users", "lda_iterations", "infer_iterations", "baseline_epochs",
 )
 _NON_NEGATIVE_INT = ("seed", "embed_seed", "min_user_freq")
-_POSITIVE_FLOAT = ("lr", "eps", "schedule_decay", "lda_beta", "baseline_lr")
+_POSITIVE_FLOAT = ("lr", "lda_beta", "baseline_lr")
 _NON_NEGATIVE_FLOAT = ("leaky_slope", "lda_alpha", "baseline_l2")
-_UNIT_FLOAT = ("dropout", "beta1", "beta2")
+_UNIT_FLOAT = ("dropout",)
 
 
 def _validate(cfg: RunConfig) -> RunConfig:

@@ -137,6 +137,8 @@ def load_vectors(
                 vec = np.array([float(v) for v in values])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric vector value") from None
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path}:{lineno}: non-finite vector value")
             vec.flags.writeable = False
             word_vectors[word] = vec
     if dim is None:

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the typed-field check that raises them."""
 
 
 class DataError(ValueError):
@@ -6,3 +6,21 @@ class DataError(ValueError):
 
     The CLI maps this to exit code 2, as opposed to usage errors (exit 1).
     """
+
+
+NUMBER = (int, float)  # JSON numbers; ``require`` rejects ``true`` as one
+
+
+def require(
+    section: object, key: str, kinds: tuple[type, ...], where: str, items: tuple[type, ...] = ()
+):
+    """``section[key]`` if ``section`` is a dict and the value's type is in ``kinds``.
+
+    With ``items``, every element's type must be in ``items`` as well.
+    Types match exactly, so a JSON ``true`` is not an int.  Anything
+    else raises a DataError naming ``where`` and ``key``.
+    """
+    value = section.get(key) if isinstance(section, dict) else None
+    if type(value) not in kinds or (items and any(type(v) not in items for v in value)):
+        raise DataError(f"{where}: key {key!r} is missing or of the wrong type")
+    return value

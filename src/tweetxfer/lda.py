@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import NUMBER, DataError, require
 
 _FORMAT = "lda-model"
 _VERSION = 1
@@ -277,17 +277,30 @@ def load_model(path: str) -> LdaModel:
         raise DataError(f"{path}: not a topic model file")
     if payload.get("version") != _VERSION:
         raise DataError(f"{path}: unsupported model version {payload.get('version')!r}")
-    vocab = {tok: i for i, tok in enumerate(payload["vocab"])}
-    n_tw = np.array(payload["n_tw"], dtype=np.int64)
-    n_t = np.array(payload["n_t"], dtype=np.int64)
-    if n_tw.shape != (payload["k"], len(vocab)) or n_t.shape != (payload["k"],):
+    words = require(payload, "vocab", (list,), path, items=(str,))
+    vocab = {tok: i for i, tok in enumerate(words)}
+    k = require(payload, "k", (int,), path)
+    n_tw = _count_array(payload, "n_tw", path)
+    n_t = _count_array(payload, "n_t", path)
+    if n_tw.shape != (k, len(vocab)) or n_t.shape != (k,):
         raise DataError(f"{path}: count shapes disagree with k and vocabulary")
     return LdaModel(
-        k=int(payload["k"]),
-        alpha=float(payload["alpha"]),
-        beta=float(payload["beta"]),
+        k=k,
+        alpha=float(require(payload, "alpha", NUMBER, path)),
+        beta=float(require(payload, "beta", NUMBER, path)),
         vocab=vocab,
         n_tw=n_tw,
         n_t=n_t,
-        seed=int(payload["seed"]),
+        seed=require(payload, "seed", (int,), path),
     )
+
+
+def _count_array(payload: dict, key: str, path: str) -> np.ndarray:
+    values = require(payload, key, (list,), path)
+    try:
+        counts = np.array(values)
+    except ValueError:
+        raise DataError(f"{path}: {key!r} is not a rectangular array") from None
+    if counts.size and counts.dtype.kind not in "iu":
+        raise DataError(f"{path}: {key!r} holds non-integer counts")
+    return counts.astype(np.int64)

@@ -17,12 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import NUMBER, DataError, require
 
 LAYER_IDS = (1, 2, 3, 4)
 
@@ -83,17 +82,7 @@ class NetworkParams:
         return [n for n in self.arrays if layer_of(n) == layer]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            arrays={n: a.copy() for n, a in self.arrays.items()},
-            n_classes=self.n_classes,
-            cluster_width=self.cluster_width,
-            embed_dim=self.embed_dim,
-            hidden=self.hidden,
-            filters=self.filters,
-            dense=self.dense,
-            kernels=self.kernels,
-            leaky_slope=self.leaky_slope,
-        )
+        return replace(self, arrays={n: a.copy() for n, a in self.arrays.items()})
 
 
 def layer_checksum(params: NetworkParams, layer: int) -> str:
@@ -650,14 +639,14 @@ def gradient_check(
     return worst
 
 
+# Checkpoint header scalars, shared by the writer and the checked reader.
+_ARCH_INTS = ("n_classes", "cluster_width", "embed_dim", "hidden", "filters", "dense")
+_NADAM_FLOATS = ("m_prod", "lr", "beta1", "beta2", "eps", "schedule_decay")
+
+
 def _arch_dict(params: NetworkParams) -> dict:
     return {
-        "n_classes": params.n_classes,
-        "cluster_width": params.cluster_width,
-        "embed_dim": params.embed_dim,
-        "hidden": params.hidden,
-        "filters": params.filters,
-        "dense": params.dense,
+        **{key: getattr(params, key) for key in _ARCH_INTS},
         "kernels": list(params.kernels),
         "leaky_slope": params.leaky_slope,
     }
@@ -683,13 +672,8 @@ def save_checkpoint(
         slots += [(f"v.{n}", state.v[n]) for n in params.arrays]
         header["optimizer"] = {
             "t": state.t,
-            "m_prod": state.m_prod,
-            "lr": state.lr,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
-            "schedule_decay": state.schedule_decay,
             "slots": [[n, list(a.shape)] for n, a in slots],
+            **{key: getattr(state, key) for key in _NADAM_FLOATS},
         }
         blobs += [a for _, a in slots]
     else:
@@ -724,10 +708,16 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, OptimizerState | None]:
         raise DataError(f"{path}: corrupt checkpoint header") from None
     off += head_len
 
-    def read_arrays(specs: Iterable[tuple[str, list[int]]]) -> dict[str, np.ndarray]:
+    def read_arrays(specs: list) -> dict[str, np.ndarray]:
         nonlocal off
         out: dict[str, np.ndarray] = {}
-        for name, shape in specs:
+        for spec in specs:
+            if not (
+                isinstance(spec, list) and len(spec) == 2 and type(spec[0]) is str
+                and isinstance(spec[1], list) and all(type(d) is int and d >= 0 for d in spec[1])
+            ):
+                raise DataError(f"{path}: malformed array entry {spec!r} in checkpoint header")
+            name, shape = spec
             n_items = int(np.prod(shape)) if shape else 1
             n_bytes = 8 * n_items
             if off + n_bytes > len(data):
@@ -740,33 +730,22 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, OptimizerState | None]:
             off += n_bytes
         return out
 
-    arch = header["arch"]
-    arrays = read_arrays(header["arrays"])
+    arch = require(header, "arch", (dict,), path)
     params = NetworkParams(
-        arrays=arrays,
-        n_classes=int(arch["n_classes"]),
-        cluster_width=int(arch["cluster_width"]),
-        embed_dim=int(arch["embed_dim"]),
-        hidden=int(arch["hidden"]),
-        filters=int(arch["filters"]),
-        dense=int(arch["dense"]),
-        kernels=tuple(arch["kernels"]),
-        leaky_slope=float(arch["leaky_slope"]),
+        arrays=read_arrays(require(header, "arrays", (list,), path)),
+        kernels=tuple(require(arch, "kernels", (list,), path, items=(int,))),
+        leaky_slope=float(require(arch, "leaky_slope", NUMBER, path)),
+        **{key: require(arch, key, (int,), path) for key in _ARCH_INTS},
     )
     state = None
     opt = header.get("optimizer")
     if opt is not None:
-        slots = read_arrays(opt["slots"])
+        slots = read_arrays(require(opt, "slots", (list,), path))
         state = OptimizerState(
             m={n[2:]: a for n, a in slots.items() if n.startswith("m.")},
             v={n[2:]: a for n, a in slots.items() if n.startswith("v.")},
-            t=int(opt["t"]),
-            m_prod=float(opt["m_prod"]),
-            lr=float(opt["lr"]),
-            beta1=float(opt["beta1"]),
-            beta2=float(opt["beta2"]),
-            eps=float(opt["eps"]),
-            schedule_decay=float(opt["schedule_decay"]),
+            t=require(opt, "t", (int,), path),
+            **{key: float(require(opt, key, NUMBER, path)) for key in _NADAM_FLOATS},
         )
     if off != len(data):
         raise DataError(f"{path}: {len(data) - off} trailing bytes after checkpoint data")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -150,32 +151,32 @@ def tokenize(text: str, source_id: str = "") -> TokenizedTweet:
     return TokenizedTweet(tokens=tuple(tokens), source_id=source_id)
 
 
-def emoji_symbols(text: str) -> list[str]:
-    """All emoji symbols in ``text``, in order, duplicates kept."""
-    out: list[str] = []
+def _emoji_spans(text: str) -> Iterator[tuple[int, int]]:
+    """``(start, end)`` of every emoji symbol in ``text``, in order."""
     i = 0
     n = len(text)
     while i < n:
         if is_emoji_char(text[i]):
             j = _consume_emoji(text, i)
-            out.append(text[i:j])
+            yield i, j
             i = j
         else:
             i += 1
-    return out
+
+
+def emoji_symbols(text: str) -> list[str]:
+    """All emoji symbols in ``text``, in order, duplicates kept."""
+    return [text[i:j] for i, j in _emoji_spans(text)]
 
 
 def remove_emoji(text: str) -> str:
     """Strip every emoji symbol (with attached modifiers) from ``text``."""
     out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if is_emoji_char(text[i]):
-            i = _consume_emoji(text, i)
-        else:
-            out.append(text[i])
-            i += 1
+    kept_from = 0
+    for i, j in _emoji_spans(text):
+        out.append(text[kept_from:i])
+        kept_from = j
+    out.append(text[kept_from:])
     return "".join(out)
 
 

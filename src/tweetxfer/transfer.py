@@ -19,7 +19,7 @@ import numpy as np
 from . import corpus, net, textprep
 from .corpus import LabeledTweet, RawTweet
 from .embed import EmbeddingTable
-from .errors import DataError
+from .errors import DataError, require
 from .evalkit import binary_metrics, macro_metrics
 from .lda import LdaModel, UserClusters, majority_topic
 from .textprep import TokenizedTweet
@@ -69,9 +69,8 @@ def load_comments(path: str) -> list[CommentRecord]:
                     )
                     for a in rec["annotations"]
                 )
-                records.append(
-                    CommentRecord(id=str(rec["id"]), text=rec["text"], annotations=annotations)
-                )
+                text = require(rec, "text", (str,), f"{path}:{lineno}")
+                records.append(CommentRecord(id=str(rec["id"]), text=text, annotations=annotations))
             except (KeyError, TypeError):
                 raise DataError(f"{path}:{lineno}: malformed comment record") from None
     return records
@@ -294,19 +293,16 @@ def pretrain(
     lr: float = 0.002,
     dropout: float = 0.5,
     max_len: int = 100,
-    params: net.NetworkParams | None = None,
+    *,
+    params: net.NetworkParams,
 ) -> net.NetworkParams:
-    """Train a fresh network on a pre-training task, all layers live.
+    """Train ``params`` in place on a pre-training task, all layers live.
 
-    The head width equals the task's label space.  Everything random
-    (init, shuffling, dropout) descends from ``seed``.
+    The head width must equal the task's label space.  Shuffling and
+    dropout descend from ``seed``.
     """
     data = encode_task(task, table, cluster_width)
-    if params is None:
-        params = net.init_params(
-            n_classes=len(task.label_space), cluster_width=cluster_width, seed=seed
-        )
-    elif params.n_classes != len(task.label_space):
+    if params.n_classes != len(task.label_space):
         raise ValueError(
             f"network head has {params.n_classes} classes, task needs {len(task.label_space)}"
         )

@@ -150,7 +150,10 @@ def test_transfer_smoke():
 
     warm, cold = [], []
     for seed in range(5):
-        pre = transfer.pretrain(task, table, cluster_width=width, seed=seed, epochs=3, batch_size=64)
+        pre = transfer.pretrain(
+            task, table, cluster_width=width, seed=seed, epochs=3, batch_size=64,
+            params=net.init_params(len(task.label_space), width, seed=seed),
+        )
         schedule = transfer.make_schedule("bu", 3)
         warm_run = transfer.finetune(
             transfer.replace_head(pre, 2, seed=seed), schedule, train, valid,

@@ -1,6 +1,9 @@
 import contextlib
 import io
+import json
 import os
+import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -388,6 +391,38 @@ class TestEvaluateCli:
         ])
         assert code == 2
         assert "classes" in err
+
+
+class TestMalformedArtifactsCli:
+    """A loader that meets a missing or mistyped key exits 2, never a traceback."""
+
+    def test_checkpoint_without_arch(self, ws, trained, tmp_path):
+        data = pathlib.Path(trained["ft"]).read_bytes()
+        (head_len,) = struct.unpack_from("<Q", data, 12)
+        header = json.loads(data[20 : 20 + head_len])
+        del header["arch"]
+        head = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "no_arch.ckpt"
+        bad.write_bytes(data[:12] + struct.pack("<Q", len(head)) + head + data[20 + head_len :])
+        code, _, err = _run([
+            "evaluate", "--ckpt", str(bad), "--data", trained["valid"],
+            "--task", "coarse", "--config", ws["cfg"],
+        ])
+        assert code == 2
+        assert err.startswith("data error:") and "'arch'" in err
+
+    def test_topic_model_without_vocab(self, ws, trained, tmp_path):
+        payload = json.loads(pathlib.Path(trained["lda"]).read_text(encoding="utf-8"))
+        del payload["vocab"]
+        bad = tmp_path / "no_vocab.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = _run([
+            "pretrain", "--task", "topic", "--corpus", ws["topic_tweets"],
+            "--lda", str(bad), "--config", ws["cfg"], "--epochs", "1",
+            "--out", str(tmp_path / "x.ckpt"),
+        ])
+        assert code == 2
+        assert err.startswith("data error:") and "'vocab'" in err
 
 
 class TestBaselineCli:

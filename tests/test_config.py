@@ -1,5 +1,11 @@
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import tweetxfer
+from tweetxfer import net
 from tweetxfer.config import RunConfig, load_config
 from tweetxfer.errors import DataError
 
@@ -19,18 +25,40 @@ class TestDefaults:
         assert cfg.max_len == 100
 
     def test_optimizer_defaults(self):
-        cfg = RunConfig()
-        assert cfg.lr == 0.002
-        assert cfg.beta1 == 0.99
-        assert cfg.beta2 == 0.999
-        assert cfg.schedule_decay == 0.004
+        assert RunConfig().lr == 0.002
+        params = net.init_params(2, 0, embed_dim=4, hidden=2, filters=2, dense=2)
+        state = net.OptimizerState.for_params(params)
+        assert state.lr == 0.002
+        assert state.beta1 == 0.99
+        assert state.beta2 == 0.999
+        assert state.schedule_decay == 0.004
 
-    def test_alpha_for_defaults_to_ten_over_k(self):
-        cfg = RunConfig()
-        assert cfg.alpha_for(20) == pytest.approx(0.5)
-        assert cfg.alpha_for(2) == pytest.approx(5.0)
-        cfg.lda_alpha = 1.5
-        assert cfg.alpha_for(20) == 1.5
+
+def _cfg_reads() -> set[str]:
+    """Every ``cfg.<attr>`` read in the package, outside config.py itself."""
+    reads = set()
+    for path in sorted(Path(tweetxfer.__file__).parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+            ):
+                reads.add(node.attr)
+    return reads
+
+
+class TestEveryKeyIsRead:
+    def test_every_field_is_read_somewhere(self):
+        unread = {f.name for f in fields(RunConfig)} - _cfg_reads()
+        assert not unread, f"config keys no code reads: {sorted(unread)}"
+
+    def test_fixed_nadam_constant_is_not_a_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("beta1 = 0.9\n", encoding="utf-8")
+        with pytest.raises(DataError, match="unknown config key 'beta1'"):
+            load_config(str(path))
 
 
 class TestFileParsing:
@@ -103,7 +131,7 @@ class TestValidation:
             ("lstm_units", -5),
             ("dropout", 1.0),
             ("dropout", -0.1),
-            ("beta1", 1.5),
+            ("leaky_slope", -0.1),
             ("lr", 0.0),
             ("lda_beta", -0.01),
             ("tail", 0),

@@ -218,6 +218,13 @@ class TestLoadVectors:
         with pytest.raises(DataError):
             load_vectors(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "v.txt"
+        path.write_text(f"foo 1 2 3\nhallo {value} 1 2\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"v\.txt:2: non-finite"):
+            load_vectors(str(path))
+
 
 class TestIdf:
     def test_exact_log_ratio(self):

@@ -246,6 +246,37 @@ class TestPersistence:
         with pytest.raises(DataError):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("vocab", None),
+            ("vocab", "abc"),
+            ("vocab", [1, 2, 3]),
+            ("k", "3"),
+            ("k", True),
+            ("alpha", "0.5"),
+            ("beta", None),
+            ("seed", 1.5),
+            ("n_tw", None),
+            ("n_tw", [[1, 2], [3]]),
+            ("n_tw", [["a"]]),
+            ("n_t", [0.5, 1.5, 2.5]),
+        ],
+    )
+    def test_missing_or_mistyped_key_rejected(self, tmp_path, key, value):
+        import json
+
+        path = tmp_path / "m.json"
+        save_model(self._model(), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=f"m.json: .*'{key}'"):
+            load_model(str(path))
+
     def test_clusters_round_trip(self, tmp_path):
         clusters = UserClusters(k=4, cluster_of={"uB": 3, "uA": 0, "uC": 2})
         path = tmp_path / "c.tsv"

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -558,6 +560,43 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("arch"),
+            lambda h: h.pop("arrays"),
+            lambda h: h["arch"].pop("hidden"),
+            lambda h: h["arch"].update(hidden="4"),
+            lambda h: h["arch"].update(n_classes=True),
+            lambda h: h["arch"].update(kernels=[2, "3"]),
+            lambda h: h["arch"].update(leaky_slope=None),
+            lambda h: h.update(arch=[]),
+            lambda h: h.update(arrays={}),
+            lambda h: h["arrays"].__setitem__(0, ["lstm_fw_W", [-1]]),
+            lambda h: h["arrays"].__setitem__(0, [7, [1]]),
+            lambda h: h["optimizer"].pop("slots"),
+            lambda h: h["optimizer"].update(t=1.5),
+            lambda h: h["optimizer"].pop("lr"),
+            lambda h: h.update(optimizer=3),
+        ],
+    )
+    def test_malformed_header_is_data_error(self, tmp_path, edit):
+        params = _small_params()
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), params, OptimizerState.for_params(params))
+        header = _read_header(path)
+        edit(header)
+        _write_header(path, header)
+        with pytest.raises(DataError, match="x.ckpt"):
+            load_checkpoint(str(path))
+
+    def test_non_dict_header_is_data_error(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), _small_params())
+        _write_header(path, ["arch"])
+        with pytest.raises(DataError, match="arch"):
+            load_checkpoint(str(path))
+
     def test_trailing_bytes(self, tmp_path):
         params = _small_params()
         path = tmp_path / "x.ckpt"
@@ -565,3 +604,18 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(str(path))
+
+
+
+def _read_header(path) -> dict:
+    data = path.read_bytes()
+    (head_len,) = struct.unpack_from("<Q", data, 12)
+    return json.loads(data[20 : 20 + head_len])
+
+
+def _write_header(path, header) -> None:
+    """Swap a checkpoint's JSON header for ``header``, keeping the array bytes."""
+    data = path.read_bytes()
+    (head_len,) = struct.unpack_from("<Q", data, 12)
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:12] + struct.pack("<Q", len(head)) + head + data[20 + head_len :])

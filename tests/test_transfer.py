@@ -95,6 +95,9 @@ class TestCategoryTask:
         path.write_text("nope\n", encoding="utf-8")
         with pytest.raises(DataError, match="JSON"):
             load_comments(str(path))
+        path.write_text('{"id": "a", "text": 5, "annotations": []}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"c\.jsonl:1: key 'text'"):
+            load_comments(str(path))
 
 
 class TestEmojiTask:

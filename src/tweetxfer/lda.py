@@ -4,13 +4,23 @@ One sampler serves two purposes: topic labels for unlabeled tweets
 (documents are token lists) and user clusters (documents are the lists
 of users a tweet mentions together, so users co-mentioned often end up
 in the same topic).  Counts are integers throughout; the conditional for
-a token excludes its own current assignment.
+a token excludes its own current assignment (Griffiths & Steyvers 2004).
+
+Training and fold-in share one sweep kernel, ``_sweep``, over plain
+lists: training lets it update the global counts, fold-in holds them
+frozen.  It draws the same samples, bit for bit, as a per-token numpy
+sampler with ``np.cumsum`` and ``np.searchsorted``.  At k = 20 and 50
+it measured about 4x and 2x faster than that sampler; its cost grows
+with k, so the two break even near k = 100 and the lists lose beyond.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul, truediv
 
 import numpy as np
 
@@ -41,13 +51,71 @@ class UserClusters:
     cluster_of: dict[str, int]
 
 
-def _check_counts(
-    n_dt: np.ndarray, n_tw: np.ndarray, n_t: np.ndarray, doc_lengths: np.ndarray
+def _sweep(
+    docs: list,
+    zs: list[list[int]],
+    n_dt: list[list[int]],
+    n_wt: list[list[int]] | None,
+    b_wt: list[list[float]],
+    n_t: list[int] | None,
+    c_t: list[float],
+    alpha: float,
+    beta: float,
+    v_beta: float,
+    draws: list[float],
 ) -> None:
-    assert (n_dt >= 0).all(), "negative document-topic count"
-    assert (n_tw >= 0).all(), "negative topic-word count"
-    assert (n_tw.sum(axis=1) == n_t).all(), "topic totals out of sync"
-    assert (n_dt.sum(axis=1) == doc_lengths).all(), "doc totals out of sync"
+    """Resample every token once: the one sampling loop of this module.
+
+    ``docs[d]`` holds word ids, ``zs[d]`` their topics and ``n_dt[d]``
+    the document's k topic counts.  ``n_wt[w]`` is word ``w``'s k topic
+    counts and ``b_wt[w]`` the floats ``n_wt[w][t] + beta``; ``n_t`` is
+    the topic totals and ``c_t`` the floats ``n_t[t] + v_beta``.  With
+    ``n_wt`` and ``n_t`` None the global counts are frozen (fold-in) and
+    ``b_wt`` and ``c_t`` are only read.  ``draws`` holds one uniform per
+    token, in document order.
+
+    The weights, the cumulative sum and the search are the same IEEE
+    operations, in the same order, as ``(n_dt + alpha) * (n_wt + beta) /
+    (n_t + v_beta)``, ``np.cumsum`` and ``np.searchsorted(side="right")``
+    on arrays, so samples match an array sampler bit for bit.  Every
+    cached float is recomputed from its integer count, never stepped by
+    +-1.0.  Plain lists beat numpy calls below k of about 100: per
+    token, numpy's fixed call cost outweighs k multiply-adds.
+    """
+    top = len(c_t) - 1
+    draw = iter(draws).__next__
+    frozen = n_wt is None
+    for words, z_doc, nd in zip(docs, zs, n_dt):
+        a = [c + alpha for c in nd]
+        for j, w in enumerate(words):
+            z = z_doc[j]
+            b = b_wt[w]
+            c = nd[z] - 1
+            nd[z] = c
+            a[z] = c + alpha
+            if not frozen:
+                row = n_wt[w]
+                c = row[z] - 1
+                row[z] = c
+                b[z] = c + beta
+                c = n_t[z] - 1
+                n_t[z] = c
+                c_t[z] = c + v_beta
+            cum = list(accumulate(map(truediv, map(mul, a, b), c_t)))
+            z = bisect_right(cum, draw() * cum[-1])
+            if z > top:
+                z = top
+            z_doc[j] = z
+            c = nd[z] + 1
+            nd[z] = c
+            a[z] = c + alpha
+            if not frozen:
+                c = row[z] + 1
+                row[z] = c
+                b[z] = c + beta
+                c = n_t[z] + 1
+                n_t[z] = c
+                c_t[z] = c + v_beta
 
 
 def train_gibbs(
@@ -80,47 +148,44 @@ def train_gibbs(
         for tok in doc:
             if tok not in vocab:
                 vocab[tok] = len(vocab)
-    docs_idx = [np.array([vocab[tok] for tok in doc], dtype=np.int64) for doc in docs]
-    doc_lengths = np.array([len(d) for d in docs_idx], dtype=np.int64)
-
-    n_docs = len(docs_idx)
+    docs_idx = [[vocab[tok] for tok in doc] for doc in docs]
     n_words = len(vocab)
-    n_dt = np.zeros((n_docs, k), dtype=np.int64)
-    n_tw = np.zeros((k, n_words), dtype=np.int64)
-    n_t = np.zeros(k, dtype=np.int64)
+    n_tokens = sum(map(len, docs_idx))
 
     rng = np.random.default_rng(seed)
-    assignments = []
-    for d, words in enumerate(docs_idx):
-        zs = rng.integers(0, k, size=len(words))
-        assignments.append(zs)
-        np.add.at(n_dt[d], zs, 1)
-        np.add.at(n_t, zs, 1)
-        for w, z in zip(words, zs):
-            n_tw[z, w] += 1
+    zs: list[list[int]] = []
+    n_dt: list[list[int]] = []
+    n_wt = [[0] * k for _ in range(n_words)]
+    n_t = [0] * k
+    for words in docs_idx:
+        z_doc = rng.integers(0, k, size=len(words)).tolist()
+        nd = [0] * k
+        for w, z in zip(words, z_doc):
+            nd[z] += 1
+            n_wt[w][z] += 1
+            n_t[z] += 1
+        zs.append(z_doc)
+        n_dt.append(nd)
 
     v_beta = n_words * beta
+    b_wt = [[c + beta for c in row] for row in n_wt]
+    c_t = [c + v_beta for c in n_t]
     for _ in range(iterations):
-        for d, words in enumerate(docs_idx):
-            zs = assignments[d]
-            row = n_dt[d]
-            for j in range(len(words)):
-                w = words[j]
-                z = zs[j]
-                row[z] -= 1
-                n_tw[z, w] -= 1
-                n_t[z] -= 1
-                p = (row + alpha) * (n_tw[:, w] + beta) / (n_t + v_beta)
-                cum = np.cumsum(p)
-                z = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), k - 1)
-                zs[j] = z
-                row[z] += 1
-                n_tw[z, w] += 1
-                n_t[z] += 1
+        draws = rng.random(n_tokens).tolist()
+        _sweep(docs_idx, zs, n_dt, n_wt, b_wt, n_t, c_t, alpha, beta, v_beta, draws)
         if __debug__:
-            _check_counts(n_dt, n_tw, n_t, doc_lengths)
+            nd, nw, nt = np.array(n_dt), np.array(n_wt), np.array(n_t)
+            assert (nd >= 0).all() and (nw >= 0).all(), "negative count"
+            assert (nw.sum(axis=0) == nt).all(), "topic totals out of sync"
+            assert (nd.sum(axis=1) == list(map(len, docs_idx))).all(), "doc totals out of sync"
+            assert (np.array(b_wt) == nw + beta).all(), "stale word-topic floats"
+            assert (np.array(c_t) == nt + v_beta).all(), "stale topic-total floats"
 
-    return LdaModel(k=k, alpha=alpha, beta=beta, vocab=vocab, n_tw=n_tw, n_t=n_t, seed=seed)
+    n_tw = np.ascontiguousarray(np.array(n_wt, dtype=np.int64).T)
+    return LdaModel(
+        k=k, alpha=alpha, beta=beta, vocab=vocab,
+        n_tw=n_tw, n_t=np.array(n_t, dtype=np.int64), seed=seed,
+    )
 
 
 def infer_topics(
@@ -139,32 +204,30 @@ def infer_topics(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
-    words = np.array([model.vocab[t] for t in tokens if t in model.vocab], dtype=np.int64)
-    if words.size == 0:
+    words = [model.vocab[t] for t in tokens if t in model.vocab]
+    if not words:
         return np.full(model.k, 1.0 / model.k)
 
     burn_in = iterations // 2
     rng = np.random.default_rng(seed)
-    k = model.k
+    k, n = model.k, len(words)
     v_beta = model.vocab_size * model.beta
-    phi_den = model.n_t + v_beta
-    zs = rng.integers(0, k, size=words.size)
-    n_loc = np.zeros(k, dtype=np.int64)
-    np.add.at(n_loc, zs, 1)
+    zs = rng.integers(0, k, size=n).tolist()
+    n_loc = [0] * k
+    for z in zs:
+        n_loc[z] += 1
+    # One frozen beta-row per token position, so position j reads row j.
+    b_rows = (model.n_tw[:, words] + model.beta).T.tolist()
+    c_t = (model.n_t + v_beta).tolist()
+    positions = [range(n)]
 
     total = np.zeros(k)
     kept = 0
     for sweep in range(iterations):
-        for j in range(words.size):
-            w = words[j]
-            n_loc[zs[j]] -= 1
-            p = (n_loc + model.alpha) * (model.n_tw[:, w] + model.beta) / phi_den
-            cum = np.cumsum(p)
-            z = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), k - 1)
-            zs[j] = z
-            n_loc[z] += 1
+        draws = rng.random(n).tolist()
+        _sweep(positions, [zs], [n_loc], None, b_rows, None, c_t, model.alpha, model.beta, v_beta, draws)
         if sweep >= burn_in:
-            total += (n_loc + model.alpha) / (words.size + k * model.alpha)
+            total += (np.array(n_loc) + model.alpha) / (n + k * model.alpha)
             kept += 1
     return total / kept
 
@@ -284,10 +347,19 @@ def load_model(path: str) -> LdaModel:
     n_t = _count_array(payload, "n_t", path)
     if n_tw.shape != (k, len(vocab)) or n_t.shape != (k,):
         raise DataError(f"{path}: count shapes disagree with k and vocabulary")
+    if (n_tw < 0).any() or (n_t < 0).any():
+        raise DataError(f"{path}: negative topic counts")
+    if (n_tw.sum(axis=1) != n_t).any():
+        raise DataError(f"{path}: topic totals 'n_t' disagree with the rows of 'n_tw'")
+    alpha = float(require(payload, "alpha", NUMBER, path))
+    beta = float(require(payload, "beta", NUMBER, path))
+    # Fold-in weights must be positive for the sampler's search to be defined.
+    if not (0 < alpha < np.inf and 0 < beta < np.inf):
+        raise DataError(f"{path}: alpha and beta must be positive and finite")
     return LdaModel(
         k=k,
-        alpha=float(require(payload, "alpha", NUMBER, path)),
-        beta=float(require(payload, "beta", NUMBER, path)),
+        alpha=alpha,
+        beta=beta,
         vocab=vocab,
         n_tw=n_tw,
         n_t=n_t,

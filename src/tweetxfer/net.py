@@ -98,6 +98,50 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return rng.uniform(-limit, limit, shape)
 
 
+def _check_arch(
+    n_classes: int,
+    cluster_width: int,
+    embed_dim: int,
+    hidden: int,
+    filters: int,
+    dense: int,
+    kernels: tuple[int, ...],
+    leaky_slope: float,
+) -> None:
+    """Raise ValueError unless the sizes describe a network ``forward`` can run."""
+    if n_classes < 2:
+        raise ValueError(f"n_classes must be at least 2, got {n_classes}")
+    if cluster_width < 0:
+        raise ValueError(f"cluster_width must be >= 0, got {cluster_width}")
+    for name, size in (("embed_dim", embed_dim), ("hidden", hidden), ("filters", filters),
+                       ("dense", dense)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
+    if not kernels or list(kernels) != sorted(set(kernels)) or kernels[0] < 1:
+        raise ValueError(f"kernels must be distinct, ascending and positive, got {kernels}")
+    if not (np.isfinite(leaky_slope) and leaky_slope >= 0):
+        raise ValueError(f"leaky_slope must be finite and >= 0, got {leaky_slope}")
+
+
+def _array_shapes(params: NetworkParams) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every array ``init_params`` makes for this arch."""
+    h4, width, filters = 4 * params.hidden, 2 * params.hidden, params.filters
+    shapes: dict[str, tuple[int, ...]] = {}
+    for direction in ("fw", "bw"):
+        shapes[f"lstm_{direction}_W"] = (params.embed_dim, h4)
+        shapes[f"lstm_{direction}_U"] = (params.hidden, h4)
+        shapes[f"lstm_{direction}_b"] = (h4,)
+    for k in params.kernels:
+        shapes[f"conv{k}_W"] = (k * width, filters)
+        shapes[f"conv{k}_b"] = (filters,)
+    feat = len(params.kernels) * filters + params.cluster_width
+    shapes["dense_W"] = (feat, params.dense)
+    shapes["dense_b"] = (params.dense,)
+    shapes["out_W"] = (params.dense, params.n_classes)
+    shapes["out_b"] = (params.n_classes,)
+    return shapes
+
+
 def init_params(
     n_classes: int,
     cluster_width: int,
@@ -114,12 +158,7 @@ def init_params(
     Weight arrays are drawn in a fixed order so one seed pins every
     value.
     """
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be at least 2, got {n_classes}")
-    if cluster_width < 0:
-        raise ValueError(f"cluster_width must be >= 0, got {cluster_width}")
-    if not kernels or list(kernels) != sorted(set(kernels)):
-        raise ValueError(f"kernels must be distinct and ascending, got {kernels}")
+    _check_arch(n_classes, cluster_width, embed_dim, hidden, filters, dense, kernels, leaky_slope)
     rng = np.random.default_rng(seed)
     h4 = 4 * hidden
     width = 2 * hidden
@@ -737,6 +776,18 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, OptimizerState | None]:
         leaky_slope=float(require(arch, "leaky_slope", NUMBER, path)),
         **{key: require(arch, key, (int,), path) for key in _ARCH_INTS},
     )
+    try:
+        _check_arch(**_arch_dict(params))
+    except ValueError as exc:
+        raise DataError(f"{path}: arch {exc}") from None
+    expected = _array_shapes(params)
+    got = {name: a.shape for name, a in params.arrays.items()}
+    for name in sorted(expected.keys() | got.keys()):
+        if got.get(name) != expected.get(name):
+            raise DataError(
+                f"{path}: array {name!r} has shape {got.get(name, 'absent')}, "
+                f"arch implies {expected.get(name, 'absent')}"
+            )
     state = None
     opt = header.get("optimizer")
     if opt is not None:

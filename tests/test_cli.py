@@ -424,6 +424,19 @@ class TestMalformedArtifactsCli:
         assert code == 2
         assert err.startswith("data error:") and "'vocab'" in err
 
+    def test_topic_model_with_negative_counts(self, ws, trained, tmp_path):
+        payload = json.loads(pathlib.Path(trained["lda"]).read_text(encoding="utf-8"))
+        payload["n_tw"][0] = [-5] * len(payload["n_tw"][0])
+        bad = tmp_path / "negative.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = _run([
+            "pretrain", "--task", "topic", "--corpus", ws["topic_tweets"],
+            "--lda", str(bad), "--config", ws["cfg"], "--epochs", "1",
+            "--out", str(tmp_path / "x.ckpt"),
+        ])
+        assert code == 2
+        assert err.startswith("data error:") and "negative" in err
+
 
 class TestBaselineCli:
     def test_reports_table_and_terms(self, ws, trained):

@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 import numpy as np
 import pytest
 
@@ -125,6 +129,18 @@ class TestInference:
         a = infer_topics(model, toks, iterations=25, seed=3)
         b = infer_topics(model, toks, iterations=25, seed=3)
         np.testing.assert_array_equal(a, b)
+
+    def test_fold_in_leaves_counts_untouched(self):
+        from tweetxfer.fixtures import raw_from_docs
+        from tweetxfer.transfer import build_topic_task
+
+        model = self._model()
+        before = (model.n_tw.tobytes(), model.n_t.tobytes())
+        docs, _ = planted_topic_docs(20, seed=9)
+        for doc in docs:
+            infer_topics(model, doc, iterations=10, seed=0)
+        build_topic_task(raw_from_docs(docs), model, frozenset(), infer_iterations=10, seed=0)
+        assert (model.n_tw.tobytes(), model.n_t.tobytes()) == before
 
     def test_iterations_must_be_positive(self):
         model = self._model()
@@ -277,6 +293,28 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"m.json: .*'{key}'"):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "edit,needle",
+        [
+            (lambda p: p.__setitem__("n_tw", [[-5] * len(p["n_tw"][0])] + p["n_tw"][1:]), "negative"),
+            (lambda p: p["n_t"].__setitem__(0, -1), "negative"),
+            (lambda p: p["n_t"].__setitem__(0, p["n_t"][0] + 1), "'n_t' disagree"),
+            (lambda p: p["n_tw"][1].__setitem__(0, p["n_tw"][1][0] + 1), "'n_t' disagree"),
+            (lambda p: p.update(alpha=0.0), "alpha and beta"),
+            (lambda p: p.update(beta=-0.01), "alpha and beta"),
+        ],
+    )
+    def test_inconsistent_counts_rejected(self, tmp_path, edit, needle):
+        import json
+
+        path = tmp_path / "m.json"
+        save_model(self._model(), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=f"m.json: .*{needle}"):
+            load_model(str(path))
+
     def test_clusters_round_trip(self, tmp_path):
         clusters = UserClusters(k=4, cluster_of={"uB": 3, "uA": 0, "uC": 2})
         path = tmp_path / "c.tsv"
@@ -298,3 +336,137 @@ class TestPersistence:
         path.write_text("#k\t2\nuA\tx\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_clusters(str(path))
+
+
+def _reference_train(docs, k, alpha, beta, iterations, seed):
+    """The per-token numpy sampler the sweep kernel replaced: (n_tw, n_t)."""
+    vocab = {}
+    for doc in docs:
+        for tok in doc:
+            vocab.setdefault(tok, len(vocab))
+    docs_idx = [np.array([vocab[t] for t in doc], dtype=np.int64) for doc in docs]
+    n_dt = np.zeros((len(docs), k), dtype=np.int64)
+    n_tw = np.zeros((k, len(vocab)), dtype=np.int64)
+    n_t = np.zeros(k, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    assignments = []
+    for d, words in enumerate(docs_idx):
+        zs = rng.integers(0, k, size=len(words))
+        assignments.append(zs)
+        np.add.at(n_dt[d], zs, 1)
+        np.add.at(n_t, zs, 1)
+        for w, z in zip(words, zs):
+            n_tw[z, w] += 1
+    v_beta = len(vocab) * beta
+    for _ in range(iterations):
+        for d, words in enumerate(docs_idx):
+            zs, row = assignments[d], n_dt[d]
+            for j, w in enumerate(words):
+                z = zs[j]
+                row[z] -= 1
+                n_tw[z, w] -= 1
+                n_t[z] -= 1
+                cum = np.cumsum((row + alpha) * (n_tw[:, w] + beta) / (n_t + v_beta))
+                z = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), k - 1)
+                zs[j] = z
+                row[z] += 1
+                n_tw[z, w] += 1
+                n_t[z] += 1
+    return n_tw, n_t
+
+
+def _reference_infer(model, tokens, iterations, seed):
+    """The per-token numpy fold-in the sweep kernel replaced."""
+    words = np.array([model.vocab[t] for t in tokens if t in model.vocab], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    k = model.k
+    phi_den = model.n_t + model.vocab_size * model.beta
+    zs = rng.integers(0, k, size=words.size)
+    n_loc = np.zeros(k, dtype=np.int64)
+    np.add.at(n_loc, zs, 1)
+    total, kept = np.zeros(k), 0
+    for sweep in range(iterations):
+        for j, w in enumerate(words):
+            n_loc[zs[j]] -= 1
+            p = (n_loc + model.alpha) * (model.n_tw[:, w] + model.beta) / phi_den
+            cum = np.cumsum(p)
+            z = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), k - 1)
+            zs[j] = z
+            n_loc[z] += 1
+        if sweep >= iterations // 2:
+            total += (n_loc + model.alpha) / (words.size + k * model.alpha)
+            kept += 1
+    return total / kept
+
+
+class TestSamplePath:
+    """Exact outputs of the sampler, pinned so any drift in the samples fails.
+
+    The pinned values were recorded from the per-token numpy sampler
+    that the list-based sweep kernel replaced, kept above as
+    ``_reference_train`` and ``_reference_infer``.
+    """
+
+    def _model(self):
+        docs, _ = planted_topic_docs(30, seed=6)
+        return train_gibbs(docs, k=3, iterations=15, seed=2)
+
+    def test_train_counts_pinned(self):
+        model = self._model()
+        digest = hashlib.sha256(model.n_tw.tobytes() + model.n_t.tobytes()).hexdigest()
+        assert model.n_t.tolist() == [114, 112, 100]
+        assert digest == "bebbdb2abde0e13ca186f59d89a842ade4f6b74a6b83ba9ff6c00f751ff566f9"
+
+    def test_cluster_users_pinned(self):
+        from tweetxfer.corpus import extract_mention_lists
+
+        tweets, _ = clique_mentions(n_cliques=5, users_per_clique=8, n_tweets=200, seed=4)
+        lists = extract_mention_lists(tweets, min_mentions=2, min_user_freq=1)
+        clusters = cluster_users(lists, k=50, iterations=20, seed=3)
+        assert clusters.cluster_of == {
+            "u0a": 17, "u0b": 34, "u0c": 38, "u0d": 32, "u0e": 41, "u0f": 10, "u0g": 37, "u0h": 42,
+            "u1a": 11, "u1b": 46, "u1c": 35, "u1d": 49, "u1e": 45, "u1f": 30, "u1g": 49, "u1h": 9,
+            "u2a": 28, "u2b": 28, "u2c": 7, "u2d": 2, "u2e": 22, "u2f": 18, "u2g": 27, "u2h": 0,
+            "u3a": 44, "u3b": 7, "u3c": 6, "u3d": 23, "u3e": 7, "u3f": 25, "u3g": 13, "u3h": 29,
+            "u4a": 47, "u4b": 48, "u4c": 31, "u4d": 1, "u4e": 12, "u4f": 8, "u4g": 20, "u4h": 31,
+        }
+
+    def test_infer_topics_pinned(self):
+        model = self._model()
+        toks = list(model.vocab)[:6] + ["unseen"] + list(model.vocab)[2:4]
+        dist = infer_topics(model, toks, iterations=20, seed=1)
+        expected = ["0x1.7b425ed097b42p-3", "0x1.2e759203cae76p-1", "0x1.cae759203cae8p-3"]
+        assert [float(x).hex() for x in dist] == expected
+
+    @pytest.mark.parametrize("k,alpha,seed", [(2, None, 0), (7, 0.3, 5), (50, None, 11)])
+    def test_matches_numpy_reference(self, k, alpha, seed):
+        docs, _ = planted_topic_docs(25, seed=seed + 20)
+        model = train_gibbs(docs, k=k, alpha=alpha, beta=0.05, iterations=6, seed=seed)
+        n_tw, n_t = _reference_train(docs, k, model.alpha, 0.05, 6, seed)
+        np.testing.assert_array_equal(model.n_tw, n_tw)
+        np.testing.assert_array_equal(model.n_t, n_t)
+        fresh, _ = planted_topic_docs(4, seed=seed + 40)
+        for doc in fresh:
+            expected = _reference_infer(model, doc + ["unseen"], 9, seed)
+            assert infer_topics(model, doc + ["unseen"], iterations=9, seed=seed).tobytes() == (
+                expected.tobytes()
+            )
+
+    def test_optimized_python_samples_the_same(self):
+        """``python -O`` drops the per-sweep invariant check, not a sample."""
+        script = (
+            "import hashlib\n"
+            "from tweetxfer.fixtures import planted_topic_docs\n"
+            "from tweetxfer.lda import train_gibbs\n"
+            "m = train_gibbs(planted_topic_docs(30, seed=6)[0], k=3, iterations=15, seed=2)\n"
+            "print(__debug__, hashlib.sha256(m.n_tw.tobytes() + m.n_t.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lda.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        model = self._model()
+        digest = hashlib.sha256(model.n_tw.tobytes() + model.n_t.tobytes()).hexdigest()
+        assert out == ["False", digest]

@@ -115,6 +115,18 @@ class TestInitParams:
             not np.array_equal(a.arrays[n], c.arrays[n]) for n in a.arrays
         )
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(hidden=0), dict(embed_dim=-1), dict(filters=0), dict(dense=0),
+            dict(kernels=()), dict(kernels=(0, 2)), dict(leaky_slope=-0.1),
+            dict(leaky_slope=float("nan")),
+        ],
+    )
+    def test_size_and_slope_validation(self, change):
+        with pytest.raises(ValueError):
+            init_params(2, 0, **{**_SMALL, **change})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             init_params(1, 0, **_SMALL)
@@ -596,6 +608,56 @@ class TestCheckpoints:
         _write_header(path, ["arch"])
         with pytest.raises(DataError, match="arch"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "key,value,needle",
+        [
+            ("n_classes", 1, "n_classes"),
+            ("cluster_width", -1, "cluster_width"),
+            ("embed_dim", 0, "embed_dim"),
+            ("hidden", -3, "hidden"),
+            ("filters", 0, "filters"),
+            ("dense", 0, "dense"),
+            ("kernels", [], "kernels"),
+            ("kernels", [3, 2], "kernels"),
+            ("kernels", [2, 2], "kernels"),
+            ("kernels", [0, 2], "kernels"),
+            ("leaky_slope", -5.0, "leaky_slope"),
+        ],
+    )
+    def test_arch_out_of_range_is_data_error(self, tmp_path, key, value, needle):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), _small_params())
+        header = _read_header(path)
+        header["arch"][key] = value
+        _write_header(path, header)
+        with pytest.raises(DataError, match=f"x.ckpt: arch {needle}"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "edit,name",
+        [
+            (lambda h: h["arch"].update(hidden=9), "conv2_W"),
+            (lambda h: h["arch"].update(cluster_width=4), "dense_W"),
+            (lambda h: h["arch"].update(kernels=[2, 4]), "conv3_W"),
+            (lambda h: h["arch"].update(n_classes=2), "out_W"),
+            (lambda h: h["arrays"][-1].__setitem__(0, "out_c"), "out_b"),
+        ],
+    )
+    def test_arrays_disagreeing_with_arch_are_data_error(self, tmp_path, edit, name):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), _small_params())
+        header = _read_header(path)
+        edit(header)
+        _write_header(path, header)
+        with pytest.raises(DataError, match=f"x.ckpt: array '{name}' has shape"):
+            load_checkpoint(str(path))
+
+    def test_array_shapes_match_init_params(self):
+        for params in (_small_params(), init_params(2, 0, seed=0)):
+            shapes = {name: a.shape for name, a in params.arrays.items()}
+            assert shapes == net._array_shapes(params)
+            assert list(shapes) == list(net._array_shapes(params))
 
     def test_trailing_bytes(self, tmp_path):
         params = _small_params()

@@ -68,8 +68,16 @@ def _tokenize_labeled(tweets) -> list[textprep.TokenizedTweet]:
     return [textprep.tokenize(textprep.normalize(t.text), source_id=t.id) for t in tweets]
 
 
-def _label_names(task: str) -> tuple[str, ...]:
-    return corpus.COARSE_LABELS if task == "coarse" else corpus.FINE_LABELS
+# The validation metric of each labeled task, as ``transfer.metric_fn`` names it.
+_METRIC = {"coarse": "binary_f1", "fine": "macro_f1"}
+
+
+def _report(task: str, preds: list[str], golds: list[str]) -> evalkit.MetricsReport:
+    """Binary scores for the task's first label, or macro scores over all of them."""
+    names = corpus.TASK_LABELS[task]
+    if _METRIC[task] == "binary_f1":
+        return evalkit.binary_metrics(preds, golds, positive=names[0])
+    return evalkit.macro_metrics(preds, golds, classes=list(names))
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
@@ -177,7 +185,7 @@ def _cmd_finetune(args: argparse.Namespace) -> int:
     table = _load_table(args.vectors, cfg)
     clusters = lda.load_clusters(args.clusters) if args.clusters else None
     width = clusters.k + 1 if clusters else cfg.k_users + 1
-    n_classes = len(_label_names(args.task))
+    n_classes = len(corpus.TASK_LABELS[args.task])
     if args.ckpt.lower() == "none":
         params = _fresh_network(cfg, n_classes, width, table.dim)
     else:
@@ -191,16 +199,15 @@ def _cmd_finetune(args: argparse.Namespace) -> int:
         corpus.load_labeled(args.valid), args.task, table, clusters, width
     )
     schedule = transfer.make_schedule(args.strategy, cfg.finetune_epochs)
-    metric = "binary_f1" if args.task == "coarse" else "macro_f1"
+    metric = _METRIC[args.task]
     result = transfer.finetune(
         params, schedule, train, valid, metric=metric, seed=cfg.seed,
         batch_size=cfg.finetune_batch, lr=cfg.lr, dropout=cfg.dropout,
         max_len=cfg.max_len,
     )
     net.save_checkpoint(args.out, result.params)
-    preds = transfer.predict_dataset(result.params, valid, max_len=cfg.max_len)
-    final = transfer.metric_fn(metric, result.params.n_classes)(preds, valid.labels)
-    print(f"{metric} {final:.4f}")
+    # Every schedule ends in a best-keeping phase, so the saved params score this.
+    print(f"{metric} {result.best_scores[-1]:.4f}")
     return 0
 
 
@@ -213,7 +220,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     table = _load_table(args.vectors, cfg)
     clusters = lda.load_clusters(args.clusters) if args.clusters else None
     data = corpus.load_labeled(args.data)
-    names = _label_names(args.task)
+    names = corpus.TASK_LABELS[args.task]
     reports = []
     first_preds: list[str] | None = None
     first_golds: list[str] = []
@@ -234,10 +241,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         preds = transfer.predict_dataset(params, encoded, max_len=cfg.max_len)
         pred_names = [names[p] for p in preds]
         gold_names = [names[g] for g in encoded.labels]
-        if args.task == "coarse":
-            reports.append(evalkit.binary_metrics(pred_names, gold_names, positive="offense"))
-        else:
-            reports.append(evalkit.macro_metrics(pred_names, gold_names, classes=list(names)))
+        reports.append(_report(args.task, pred_names, gold_names))
         if first_preds is None:
             first_preds = pred_names
             first_golds = gold_names
@@ -249,11 +253,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             fh.write(text)
     if args.errors:
         # Error listing comes from the first checkpoint's predictions.
-        positive = "offense" if args.task == "coarse" else names[0]
         errs = evalkit.error_report(
             first_preds, first_golds,
             [(t.text, g, p) for t, g, p in zip(data, first_golds, first_preds)],
-            positive=positive,
+            positive=names[0],
         )
         with open(args.errors, "w", encoding="utf-8") as fh:
             fh.write("type\tgold\tpred\ttext\n")
@@ -272,26 +275,21 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     table = _load_table(args.vectors, cfg)
     train = corpus.load_labeled(args.train)
     valid = corpus.load_labeled(args.valid)
-    names = _label_names(args.task)
-    pick = (lambda t: t.coarse) if args.task == "coarse" else (lambda t: t.fine)
+    train_labels = [getattr(t, args.task) for t in train]
     tok_train = _tokenize_labeled(train)
     tok_valid = _tokenize_labeled(valid)
     idf = embed.compute_idf(tok_train)
     model = baseline.train_linear(
         baseline.featurize(tok_train, table, idf),
-        [pick(t) for t in train],
+        train_labels,
         l2=cfg.baseline_l2, epochs=cfg.baseline_epochs, lr=cfg.baseline_lr,
         seed=cfg.seed,
     )
     preds = baseline.predict_many(model, baseline.featurize(tok_valid, table, idf))
-    golds = [pick(t) for t in valid]
-    if args.task == "coarse":
-        report = evalkit.binary_metrics(preds, golds, positive="offense")
-    else:
-        report = evalkit.macro_metrics(preds, golds, classes=list(names))
+    report = _report(args.task, preds, [getattr(t, args.task) for t in valid])
     sys.stdout.write(evalkit.format_report(report))
     if args.top_terms:
-        ranked = baseline.top_terms(tok_train, [pick(t) for t in train], idf, n=args.top_terms)
+        ranked = baseline.top_terms(tok_train, train_labels, idf, n=args.top_terms)
         for label in sorted(ranked, key=str):
             print(f"top[{label}] " + " ".join(ranked[label]))
     return 0
@@ -365,7 +363,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("finetune", parents=[common], help="train on labeled tweets")
     p.add_argument("--ckpt", required=True, help="pretrained checkpoint, or 'none'")
     p.add_argument("--strategy", required=True, choices=transfer.STRATEGIES)
-    p.add_argument("--task", required=True, choices=("coarse", "fine"))
+    p.add_argument("--task", required=True, choices=tuple(corpus.TASK_LABELS))
     p.add_argument("--train", required=True)
     p.add_argument("--valid", required=True)
     p.add_argument("--clusters")
@@ -378,7 +376,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", parents=[common], help="score checkpoints")
     p.add_argument("--ckpt", required=True, nargs="+")
     p.add_argument("--data", required=True)
-    p.add_argument("--task", required=True, choices=("coarse", "fine"))
+    p.add_argument("--task", required=True, choices=tuple(corpus.TASK_LABELS))
     p.add_argument("--clusters")
     p.add_argument("--vectors")
     p.add_argument("--runs", type=int, help="must equal the checkpoint count")
@@ -389,7 +387,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("baseline", parents=[common], help="linear reference model")
     p.add_argument("--train", required=True)
     p.add_argument("--valid", required=True)
-    p.add_argument("--task", required=True, choices=("coarse", "fine"))
+    p.add_argument("--task", required=True, choices=tuple(corpus.TASK_LABELS))
     p.add_argument("--vectors")
     p.add_argument("--l2", type=float)
     p.add_argument("--epochs", type=int)

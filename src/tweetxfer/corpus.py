@@ -17,6 +17,9 @@ from .errors import DataError
 
 COARSE_LABELS = ("offense", "other")
 FINE_LABELS = ("insult", "profanity", "abuse", "other")
+# The label space of each labeled task.  A tweet's label for a task is
+# the ``LabeledTweet`` field of the same name.
+TASK_LABELS = {"coarse": COARSE_LABELS, "fine": FINE_LABELS}
 
 
 @dataclass(frozen=True)
@@ -29,10 +32,9 @@ class LabeledTweet:
     def __post_init__(self) -> None:
         if not self.text:
             raise DataError(f"tweet {self.id!r}: empty text")
-        if self.coarse not in COARSE_LABELS:
-            raise DataError(f"tweet {self.id!r}: unknown coarse label {self.coarse!r}")
-        if self.fine not in FINE_LABELS:
-            raise DataError(f"tweet {self.id!r}: unknown fine label {self.fine!r}")
+        for task, space in TASK_LABELS.items():
+            if getattr(self, task) not in space:
+                raise DataError(f"tweet {self.id!r}: unknown {task} label {getattr(self, task)!r}")
         if (self.fine == "other") != (self.coarse == "other"):
             raise DataError(
                 f"tweet {self.id!r}: labels disagree "

@@ -98,29 +98,20 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return rng.uniform(-limit, limit, shape)
 
 
-def _check_arch(
-    n_classes: int,
-    cluster_width: int,
-    embed_dim: int,
-    hidden: int,
-    filters: int,
-    dense: int,
-    kernels: tuple[int, ...],
-    leaky_slope: float,
-) -> None:
+def _check_arch(params: NetworkParams) -> None:
     """Raise ValueError unless the sizes describe a network ``forward`` can run."""
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be at least 2, got {n_classes}")
-    if cluster_width < 0:
-        raise ValueError(f"cluster_width must be >= 0, got {cluster_width}")
-    for name, size in (("embed_dim", embed_dim), ("hidden", hidden), ("filters", filters),
-                       ("dense", dense)):
-        if size < 1:
-            raise ValueError(f"{name} must be at least 1, got {size}")
+    if params.n_classes < 2:
+        raise ValueError(f"n_classes must be at least 2, got {params.n_classes}")
+    if params.cluster_width < 0:
+        raise ValueError(f"cluster_width must be >= 0, got {params.cluster_width}")
+    for name in ("embed_dim", "hidden", "filters", "dense"):
+        if getattr(params, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(params, name)}")
+    kernels = params.kernels
     if not kernels or list(kernels) != sorted(set(kernels)) or kernels[0] < 1:
         raise ValueError(f"kernels must be distinct, ascending and positive, got {kernels}")
-    if not (np.isfinite(leaky_slope) and leaky_slope >= 0):
-        raise ValueError(f"leaky_slope must be finite and >= 0, got {leaky_slope}")
+    if not (np.isfinite(params.leaky_slope) and params.leaky_slope >= 0):
+        raise ValueError(f"leaky_slope must be finite and >= 0, got {params.leaky_slope}")
 
 
 def _array_shapes(params: NetworkParams) -> dict[str, tuple[int, ...]]:
@@ -142,6 +133,25 @@ def _array_shapes(params: NetworkParams) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def initial_value(
+    params: NetworkParams, name: str, shape: tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """Start value of one array: zero biases with LSTM forget-gate bias 1.0,
+    Glorot-uniform matrices with ``fan_in, fan_out = shape``.
+
+    A conv kernel's fan-out counts all k window steps: ``k * filters``.
+    """
+    if len(shape) == 1:
+        b = np.zeros(shape)
+        if layer_of(name) == 1:
+            b[params.hidden : 2 * params.hidden] = 1.0
+        return b
+    fan_in, fan_out = shape
+    if layer_of(name) == 2:
+        fan_out *= fan_in // (2 * params.hidden)
+    return _glorot(rng, shape, fan_in, fan_out)
+
+
 def init_params(
     n_classes: int,
     cluster_width: int,
@@ -153,33 +163,13 @@ def init_params(
     kernels: tuple[int, ...] = (3, 4, 5),
     leaky_slope: float = 0.3,
 ) -> NetworkParams:
-    """Glorot-uniform weights, zero biases, LSTM forget-gate bias 1.0.
+    """A new network with every array at its ``initial_value``.
 
-    Weight arrays are drawn in a fixed order so one seed pins every
+    Arrays are drawn in ``_array_shapes`` order so one seed pins every
     value.
     """
-    _check_arch(n_classes, cluster_width, embed_dim, hidden, filters, dense, kernels, leaky_slope)
-    rng = np.random.default_rng(seed)
-    h4 = 4 * hidden
-    width = 2 * hidden
-    arrays: dict[str, np.ndarray] = {}
-    for direction in ("fw", "bw"):
-        arrays[f"lstm_{direction}_W"] = _glorot(rng, (embed_dim, h4), embed_dim, h4)
-        arrays[f"lstm_{direction}_U"] = _glorot(rng, (hidden, h4), hidden, h4)
-        b = np.zeros(h4)
-        b[hidden : 2 * hidden] = 1.0
-        arrays[f"lstm_{direction}_b"] = b
-    for k in kernels:
-        fan = k * width
-        arrays[f"conv{k}_W"] = _glorot(rng, (fan, filters), fan, k * filters)
-        arrays[f"conv{k}_b"] = np.zeros(filters)
-    feat = len(kernels) * filters + cluster_width
-    arrays["dense_W"] = _glorot(rng, (feat, dense), feat, dense)
-    arrays["dense_b"] = np.zeros(dense)
-    arrays["out_W"] = _glorot(rng, (dense, n_classes), dense, n_classes)
-    arrays["out_b"] = np.zeros(n_classes)
-    return NetworkParams(
-        arrays=arrays,
+    params = NetworkParams(
+        arrays={},
         n_classes=n_classes,
         cluster_width=cluster_width,
         embed_dim=embed_dim,
@@ -189,6 +179,11 @@ def init_params(
         kernels=tuple(kernels),
         leaky_slope=leaky_slope,
     )
+    _check_arch(params)
+    rng = np.random.default_rng(seed)
+    for name, shape in _array_shapes(params).items():
+        params.arrays[name] = initial_value(params, name, shape, rng)
+    return params
 
 
 @dataclass(frozen=True)
@@ -361,7 +356,6 @@ def _lstm_direction_backward(
 class _ConvTrace:
     pre: np.ndarray  # (B, P, filters)
     arg: np.ndarray  # (B, filters) winning position per filter
-    valid: np.ndarray  # (B, P)
     pooled: np.ndarray  # (B, filters) before dropout
     pool_mask: np.ndarray | None
     pooled_drop: np.ndarray
@@ -370,13 +364,10 @@ class _ConvTrace:
 @dataclass
 class ForwardCache:
     params: NetworkParams
-    mode: str
     emb: np.ndarray
     eff: np.ndarray
-    lengths: np.ndarray
     fw: _LstmTrace
     bw: _LstmTrace
-    h_cat: np.ndarray
     lstm_mask: np.ndarray | None
     h_drop: np.ndarray
     conv: dict[int, _ConvTrace]
@@ -465,8 +456,7 @@ def forward(
         pool_mask = pool_masks.get(k)
         pooled_drop = pooled * pool_mask if pool_mask is not None else pooled
         conv[k] = _ConvTrace(
-            pre=pre, arg=arg, valid=valid, pooled=pooled,
-            pool_mask=pool_mask, pooled_drop=pooled_drop,
+            pre=pre, arg=arg, pooled=pooled, pool_mask=pool_mask, pooled_drop=pooled_drop,
         )
         pooled_parts.append(pooled_drop)
 
@@ -476,9 +466,8 @@ def forward(
     logits = a @ params.arrays["out_W"] + params.arrays["out_b"]
     probs = _softmax(logits)
     cache = ForwardCache(
-        params=params, mode=mode, emb=emb, eff=eff, lengths=lengths,
-        fw=fw, bw=bw, h_cat=h_cat, lstm_mask=lstm_mask, h_drop=h_drop,
-        conv=conv, z=z, a_pre=a_pre, a=a, probs=probs,
+        params=params, emb=emb, eff=eff, fw=fw, bw=bw, lstm_mask=lstm_mask,
+        h_drop=h_drop, conv=conv, z=z, a_pre=a_pre, a=a, probs=probs,
     )
     return probs, cache
 
@@ -506,7 +495,7 @@ def backward(
         raise ValueError("backward needs labels in the batch")
     B = cache.probs.shape[0]
     slope = params.leaky_slope
-    grads = {n: np.zeros_like(a) for n, a in params.arrays.items()}
+    grads: dict[str, np.ndarray] = {}
 
     dlogits = cache.probs.copy()
     dlogits[np.arange(B), batch.labels] -= 1.0
@@ -554,10 +543,10 @@ def backward(
         grads[f"lstm_{direction}_U"] = dU
         grads[f"lstm_{direction}_b"] = db
 
-    for name in grads:
-        if layer_of(name) not in freeze.trainable:
-            grads[name] = np.zeros_like(grads[name])
-    return grads
+    return {
+        n: grads[n] if layer_of(n) in freeze.trainable else np.zeros_like(a)
+        for n, a in params.arrays.items()
+    }
 
 
 @dataclass
@@ -683,14 +672,6 @@ _ARCH_INTS = ("n_classes", "cluster_width", "embed_dim", "hidden", "filters", "d
 _NADAM_FLOATS = ("m_prod", "lr", "beta1", "beta2", "eps", "schedule_decay")
 
 
-def _arch_dict(params: NetworkParams) -> dict:
-    return {
-        **{key: getattr(params, key) for key in _ARCH_INTS},
-        "kernels": list(params.kernels),
-        "leaky_slope": params.leaky_slope,
-    }
-
-
 def save_checkpoint(
     path: str, params: NetworkParams, state: OptimizerState | None = None
 ) -> None:
@@ -702,7 +683,11 @@ def save_checkpoint(
     """
     arrays = [(name, params.arrays[name]) for name in params.arrays]
     header: dict = {
-        "arch": _arch_dict(params),
+        "arch": {
+            **{key: getattr(params, key) for key in _ARCH_INTS},
+            "kernels": list(params.kernels),
+            "leaky_slope": params.leaky_slope,
+        },
         "arrays": [[n, list(a.shape)] for n, a in arrays],
     }
     blobs = [a for _, a in arrays]
@@ -757,6 +742,8 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, OptimizerState | None]:
             ):
                 raise DataError(f"{path}: malformed array entry {spec!r} in checkpoint header")
             name, shape = spec
+            if name in out:
+                raise DataError(f"{path}: array {name!r} listed twice in checkpoint header")
             n_items = int(np.prod(shape)) if shape else 1
             n_bytes = 8 * n_items
             if off + n_bytes > len(data):
@@ -766,8 +753,19 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, OptimizerState | None]:
                 .astype(np.float64)
                 .reshape(shape)
             )
+            if not np.isfinite(out[name]).all():
+                raise DataError(f"{path}: array {name!r} holds non-finite values")
             off += n_bytes
         return out
+
+    def check_shapes(arrays: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:
+        got = {name: a.shape for name, a in arrays.items()}
+        for name in sorted(expected.keys() | got.keys()):
+            if got.get(name) != expected.get(name):
+                raise DataError(
+                    f"{path}: array {name!r} has shape {got.get(name, 'absent')}, "
+                    f"arch implies {expected.get(name, 'absent')}"
+                )
 
     arch = require(header, "arch", (dict,), path)
     params = NetworkParams(
@@ -777,24 +775,20 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, OptimizerState | None]:
         **{key: require(arch, key, (int,), path) for key in _ARCH_INTS},
     )
     try:
-        _check_arch(**_arch_dict(params))
+        _check_arch(params)
     except ValueError as exc:
         raise DataError(f"{path}: arch {exc}") from None
-    expected = _array_shapes(params)
-    got = {name: a.shape for name, a in params.arrays.items()}
-    for name in sorted(expected.keys() | got.keys()):
-        if got.get(name) != expected.get(name):
-            raise DataError(
-                f"{path}: array {name!r} has shape {got.get(name, 'absent')}, "
-                f"arch implies {expected.get(name, 'absent')}"
-            )
+    shapes = _array_shapes(params)
+    check_shapes(params.arrays, shapes)
     state = None
     opt = header.get("optimizer")
     if opt is not None:
         slots = read_arrays(require(opt, "slots", (list,), path))
+        # Nadam keeps one first and one second moment per array.
+        check_shapes(slots, {f"{mv}.{n}": s for mv in "mv" for n, s in shapes.items()})
         state = OptimizerState(
-            m={n[2:]: a for n, a in slots.items() if n.startswith("m.")},
-            v={n[2:]: a for n, a in slots.items() if n.startswith("v.")},
+            m={n: slots[f"m.{n}"] for n in shapes},
+            v={n: slots[f"v.{n}"] for n in shapes},
             t=require(opt, "t", (int,), path),
             **{key: float(require(opt, key, NUMBER, path)) for key in _NADAM_FLOATS},
         )

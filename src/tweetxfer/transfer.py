@@ -27,6 +27,8 @@ from .textprep import TokenizedTweet
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("none", "gu", "bu", "tu")
+# Group order of the strategies that train one layer group per phase.
+_ONE_GROUP_ORDER = {"bu": (4, 1, 2, 3), "tu": (4, 3, 2, 1)}
 
 
 @dataclass(frozen=True)
@@ -194,18 +196,12 @@ def encode_labeled(
     clusters: UserClusters | None = None,
     cluster_width: int = 0,
 ) -> EncodedDataset:
-    """Embed labeled tweets for the coarse or fine task."""
-    if task == "coarse":
-        space = corpus.COARSE_LABELS
-        pick = lambda t: t.coarse
-    elif task == "fine":
-        space = corpus.FINE_LABELS
-        pick = lambda t: t.fine
-    else:
-        raise ValueError(f"task must be 'coarse' or 'fine', got {task!r}")
+    """Embed labeled tweets for one of ``corpus.TASK_LABELS``."""
+    if task not in corpus.TASK_LABELS:
+        raise ValueError(f"task must be one of {tuple(corpus.TASK_LABELS)}, got {task!r}")
     if not tweets:
         raise DataError("no labeled tweets to encode")
-    index = {label: i for i, label in enumerate(space)}
+    index = {label: i for i, label in enumerate(corpus.TASK_LABELS[task])}
     sequences = []
     feats = []
     labels = []
@@ -215,7 +211,7 @@ def encode_labeled(
         feats.append(
             cluster_features_for(corpus.extract_mentions(t.text), clusters, cluster_width)
         )
-        labels.append(index[pick(t)])
+        labels.append(index[getattr(t, task)])
     return EncodedDataset(
         sequences=tuple(sequences),
         cluster_features=np.array(feats) if feats else np.zeros((0, cluster_width)),
@@ -321,13 +317,13 @@ def replace_head(params: net.NetworkParams, n_classes: int, seed: int = 0) -> ne
 
     Layers 1-3 are copied bit-exactly; only the head is redrawn.
     """
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be at least 2, got {n_classes}")
-    rng = np.random.default_rng(seed)
     out = params.copy()
     out.n_classes = n_classes
-    out.arrays["out_W"] = net._glorot(rng, (params.dense, n_classes), params.dense, n_classes)
-    out.arrays["out_b"] = np.zeros(n_classes)
+    net._check_arch(out)
+    rng = np.random.default_rng(seed)
+    shapes = net._array_shapes(out)
+    for name in out.layer_names(4):
+        out.arrays[name] = net.initial_value(out, name, shapes[name], rng)
     return out
 
 
@@ -370,13 +366,8 @@ def make_schedule(strategy: str, max_epochs: int = 50) -> FreezeSchedule:
             Phase(fs({4, 3, 2}), 1, False),
             Phase(fs({4, 3, 2, 1}), max_epochs - 3, True),
         ]
-    elif strategy == "bu":
-        groups = [4, 1, 2, 3]
-        phases = [Phase(fs({g}), max_epochs, True) for g in groups]
-        phases.append(Phase(fs({1, 2, 3, 4}), max_epochs, True))
-    else:  # tu
-        groups = [4, 3, 2, 1]
-        phases = [Phase(fs({g}), max_epochs, True) for g in groups]
+    else:
+        phases = [Phase(fs({g}), max_epochs, True) for g in _ONE_GROUP_ORDER[strategy]]
         phases.append(Phase(fs({1, 2, 3, 4}), max_epochs, True))
     return FreezeSchedule(strategy=strategy, phases=tuple(phases))
 

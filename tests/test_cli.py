@@ -8,8 +8,9 @@ import struct
 import numpy as np
 import pytest
 
-from tweetxfer import corpus, lda, net
-from tweetxfer.cli import main
+from tweetxfer import corpus, evalkit, lda, net, transfer
+from tweetxfer.cli import _load_table, main
+from tweetxfer.config import load_config
 from tweetxfer.fixtures import (
     clique_mentions,
     comment_records,
@@ -384,6 +385,37 @@ class TestEvaluateCli:
             assert kind in ("fp", "fn")
             assert gold != pred
 
+    def test_fine_task_report_and_errors(self, ws, trained, tmp_path):
+        ckpt, errs = tmp_path / "fine.ckpt", tmp_path / "errors.tsv"
+        code, _, _ = _run([
+            "finetune", "--ckpt", trained["pre_emoji"], "--strategy", "none",
+            "--task", "fine", "--train", trained["train"], "--valid", trained["valid"],
+            "--config", ws["cfg"], "--out", str(ckpt),
+        ])
+        assert code == 0
+        code, stdout, _ = _run([
+            "evaluate", "--ckpt", str(ckpt), "--data", trained["valid"],
+            "--task", "fine", "--config", ws["cfg"], "--errors", str(errs),
+        ])
+        assert code == 0
+        rows = [line.split()[0] for line in stdout.splitlines()[1:6]]
+        assert rows == list(corpus.FINE_LABELS) + ["average"]
+
+        params, _ = net.load_checkpoint(str(ckpt))
+        valid = corpus.load_labeled(trained["valid"])
+        table = _load_table(None, load_config(ws["cfg"]))
+        encoded = transfer.encode_labeled(valid, "fine", table, None, params.cluster_width)
+        preds = [corpus.FINE_LABELS[p] for p in transfer.predict_dataset(params, encoded)]
+        golds = [t.fine for t in valid]
+        macro = evalkit.macro_metrics(preds, golds, classes=list(corpus.FINE_LABELS))
+        assert stdout.startswith(evalkit.format_report(macro))
+        # The error listing counts the first fine label, insult, as positive.
+        items = [(g, p, corpus.escape_text(t.text)) for t, g, p in zip(valid, golds, preds)]
+        expected = ["type\tgold\tpred\ttext"]
+        expected += [f"fp\t{g}\t{p}\t{text}" for g, p, text in items if p == "insult" != g]
+        expected += [f"fn\t{g}\t{p}\t{text}" for g, p, text in items if g == "insult" != p]
+        assert errs.read_text(encoding="utf-8").splitlines() == expected
+
     def test_task_head_mismatch(self, ws, trained, tmp_path):
         code, _, err = _run([
             "evaluate", "--ckpt", trained["ft"], "--data", trained["valid"],
@@ -410,6 +442,18 @@ class TestMalformedArtifactsCli:
         ])
         assert code == 2
         assert err.startswith("data error:") and "'arch'" in err
+
+    def test_checkpoint_with_nan_weight(self, ws, trained, tmp_path):
+        params, _ = net.load_checkpoint(trained["ft"])
+        params.arrays["out_W"][0, 0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        net.save_checkpoint(str(bad), params)
+        code, _, err = _run([
+            "evaluate", "--ckpt", str(bad), "--data", trained["valid"],
+            "--task", "coarse", "--config", ws["cfg"],
+        ])
+        assert code == 2
+        assert err.startswith("data error:") and "non-finite" in err
 
     def test_topic_model_without_vocab(self, ws, trained, tmp_path):
         payload = json.loads(pathlib.Path(trained["lda"]).read_text(encoding="utf-8"))

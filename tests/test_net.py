@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -114,6 +115,23 @@ class TestInitParams:
         assert any(
             not np.array_equal(a.arrays[n], c.arrays[n]) for n in a.arrays
         )
+
+    @pytest.mark.parametrize(
+        "n_classes,cluster_width,seed,sizes,sha256",
+        [
+            (2, 51, 0, {}, "d49c1261c3c769589d16c4e22cdc9ba2da316dcf042bedee56c95a82c4ceb0ec"),
+            (3, 5, 7, _SMALL, "7623007be40013f76d7f30349b71f51449caa56dd552a82e5aa08574296d6e30"),
+        ],
+        ids=["paper_sizes", "small_kernels_2_3"],
+    )
+    def test_values_pinned(self, n_classes, cluster_width, seed, sizes, sha256):
+        """Names, order and start values of every array are fixed by the seed."""
+        params = init_params(n_classes, cluster_width, seed=seed, **sizes)
+        digest = hashlib.sha256()
+        for name, arr in params.arrays.items():
+            digest.update(name.encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == sha256
 
     @pytest.mark.parametrize(
         "change",
@@ -651,6 +669,51 @@ class TestCheckpoints:
         edit(header)
         _write_header(path, header)
         with pytest.raises(DataError, match=f"x.ckpt: array '{name}' has shape"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "name,index,value",
+        [("out_W", (0, 1), np.nan), ("lstm_bw_U", (2, 5), -np.inf), ("conv3_b", (4,), np.inf)],
+    )
+    def test_non_finite_weight_is_data_error(self, tmp_path, name, index, value):
+        params = _small_params()
+        params.arrays[name][index] = value
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), params)
+        with pytest.raises(DataError, match=f"x.ckpt: array '{name}' holds non-finite"):
+            load_checkpoint(str(path))
+
+    def test_non_finite_optimizer_moment_is_data_error(self, tmp_path):
+        params = _small_params()
+        state = OptimizerState.for_params(params)
+        state.v["dense_b"][3] = np.nan
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), params, state)
+        with pytest.raises(DataError, match="x.ckpt: array 'v.dense_b' holds non-finite"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "edit,needle",
+        [
+            (lambda slots: slots[0].__setitem__(0, "m.bogus"), "array 'm.bogus' has shape"),
+            (lambda slots: slots[0].__setitem__(0, "x.lstm_fw_W"), "array 'm.lstm_fw_W' has shape"),
+            (lambda slots: slots.pop(), "array 'v.out_b' has shape absent"),
+            (lambda slots: slots[-1].__setitem__(1, [1, 3]), "array 'v.out_b' has shape"),
+            (
+                lambda slots: slots[1].__setitem__(0, slots[0][0]),
+                "array 'm.lstm_fw_W' listed twice",
+            ),
+        ],
+        ids=["unknown_name", "wrong_prefix", "missing", "wrong_shape", "duplicate"],
+    )
+    def test_optimizer_slots_must_match_arrays(self, tmp_path, edit, needle):
+        params = _small_params()
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), params, OptimizerState.for_params(params))
+        header = _read_header(path)
+        edit(header["optimizer"]["slots"])
+        _write_header(path, header)
+        with pytest.raises(DataError, match=f"x.ckpt: {needle}"):
             load_checkpoint(str(path))
 
     def test_array_shapes_match_init_params(self):

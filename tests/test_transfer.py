@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,12 @@ class TestSchedules:
     def test_case_insensitive(self):
         assert make_schedule("GU").strategy == "gu"
 
+    def test_every_strategy_ends_best_keeping(self):
+        """The finetune command reports the last phase's best score as the
+        saved model's score, which holds only if that phase keeps its best."""
+        for strategy in transfer.STRATEGIES:
+            assert make_schedule(strategy, max_epochs=4).phases[-1].select_best, strategy
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_schedule("fancy")
@@ -282,6 +290,28 @@ class TestReplaceHead:
         a = replace_head(params, 2, seed=9)
         b = replace_head(params, 2, seed=9)
         np.testing.assert_array_equal(a.arrays["out_W"], b.arrays["out_W"])
+
+    @pytest.mark.parametrize(
+        "body,head_seed,sha256",
+        [
+            (
+                dict(n_classes=2, cluster_width=51, seed=0),
+                3,
+                "a505c515cbc8f2ff8c507c71854a3df6802b2f29ec9a698243555ece3900f9b3",
+            ),
+            (
+                dict(n_classes=3, cluster_width=5, seed=7, embed_dim=16, hidden=8, filters=6,
+                     dense=10, kernels=(2, 3)),
+                11,
+                "3c9dc58fb5ad8383c3c367700c0d87f9a0f7570a0ba5781d47079a4e2c568fa4",
+            ),
+        ],
+        ids=["paper_sizes", "small_kernels_2_3"],
+    )
+    def test_head_values_pinned(self, body, head_seed, sha256):
+        out = replace_head(net.init_params(**body), 4, seed=head_seed)
+        head = out.arrays["out_W"].tobytes() + out.arrays["out_b"].tobytes()
+        assert hashlib.sha256(head).hexdigest() == sha256
 
     def test_head_width_validated(self):
         params = net.init_params(

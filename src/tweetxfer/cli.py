@@ -224,6 +224,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     reports = []
     first_preds: list[str] | None = None
     first_golds: list[str] = []
+    # The encoding depends on the checkpoint only through its cluster width.
+    encoded_by_width: dict[int, transfer.EncodedDataset] = {}
     for path in args.ckpt:
         params, _ = net.load_checkpoint(path)
         if params.n_classes != len(names):
@@ -237,7 +239,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 f"{path}: checkpoint cluster width {width} does not fit "
                 f"k={clusters.k} clusters"
             )
-        encoded = transfer.encode_labeled(data, args.task, table, clusters, width)
+        _check_compat(params, table, width)
+        if width not in encoded_by_width:
+            encoded_by_width[width] = transfer.encode_labeled(
+                data, args.task, table, clusters, width
+            )
+        encoded = encoded_by_width[width]
         preds = transfer.predict_dataset(params, encoded, max_len=cfg.max_len)
         pred_names = [names[p] for p in preds]
         gold_names = [names[g] for g in encoded.labels]

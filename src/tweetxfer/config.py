@@ -5,8 +5,9 @@ Unknown keys and out-of-range values are rejected by name, so a typo
 fails loudly instead of silently training with a default.
 
 The optimizer's only key is ``lr``.  The other Nadam constants
-(beta1 = 0.99, beta2 = 0.999, eps = 1e-8 and the 0.96^(t/250) momentum
-schedule) are fixed in ``net.OptimizerState`` and are not config keys.
+(``net.BETA1`` = 0.99, ``net.BETA2`` = 0.999, ``net.EPSILON`` = 1e-8 and
+the 0.96^(t/250) momentum schedule, ``net.SCHEDULE_DECAY`` = 0.004) are
+fixed module constants, not config keys.
 """
 
 from __future__ import annotations

@@ -549,6 +549,13 @@ def backward(
     }
 
 
+# Nadam's fixed hyper-parameters (Dozat 2016); the learning rate is the only knob.
+BETA1 = 0.99
+BETA2 = 0.999
+EPSILON = 1e-8
+SCHEDULE_DECAY = 0.004
+
+
 @dataclass
 class OptimizerState:
     """Nadam state: per-array first and second moments plus schedule."""
@@ -558,23 +565,18 @@ class OptimizerState:
     t: int = 0
     m_prod: float = 1.0
     lr: float = 0.002
-    beta1: float = 0.99
-    beta2: float = 0.999
-    eps: float = 1e-8
-    schedule_decay: float = 0.004
 
     @classmethod
-    def for_params(cls, params: NetworkParams, lr: float = 0.002, **kwargs) -> "OptimizerState":
+    def for_params(cls, params: NetworkParams, lr: float = 0.002) -> "OptimizerState":
         return cls(
             m={n: np.zeros_like(a) for n, a in params.arrays.items()},
             v={n: np.zeros_like(a) for n, a in params.arrays.items()},
             lr=lr,
-            **kwargs,
         )
 
 
-def _momentum(state: OptimizerState, t: int) -> float:
-    return state.beta1 * (1.0 - 0.5 * 0.96 ** (t * state.schedule_decay))
+def _momentum(t: int) -> float:
+    return BETA1 * (1.0 - 0.5 * 0.96 ** (t * SCHEDULE_DECAY))
 
 
 def step(
@@ -597,24 +599,24 @@ def step(
             raise ValueError(f"non-finite gradient in {n!r} (layer {layer_of(n)})")
     state.t += 1
     t = state.t
-    mu_t = _momentum(state, t)
-    mu_next = _momentum(state, t + 1)
+    mu_t = _momentum(t)
+    mu_next = _momentum(t + 1)
     m_prod = state.m_prod * mu_t
     m_prod_next = m_prod * mu_next
     state.m_prod = m_prod
-    v_corr = 1.0 - state.beta2**t
+    v_corr = 1.0 - BETA2**t
     for n in names:
         g = grads[n]
         m = state.m[n]
         v = state.v[n]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         g_hat = g / (1.0 - m_prod)
         m_hat = m / (1.0 - m_prod_next)
         m_bar = (1.0 - mu_t) * g_hat + mu_next * m_hat
-        params.arrays[n] -= state.lr * m_bar / (np.sqrt(v / v_corr) + state.eps)
+        params.arrays[n] -= state.lr * m_bar / (np.sqrt(v / v_corr) + EPSILON)
     return params, state
 
 
@@ -669,50 +671,37 @@ def gradient_check(
 
 # Checkpoint header scalars, shared by the writer and the checked reader.
 _ARCH_INTS = ("n_classes", "cluster_width", "embed_dim", "hidden", "filters", "dense")
-_NADAM_FLOATS = ("m_prod", "lr", "beta1", "beta2", "eps", "schedule_decay")
 
 
-def save_checkpoint(
-    path: str, params: NetworkParams, state: OptimizerState | None = None
-) -> None:
-    """Write params (and optionally optimizer state) as raw float64.
+def save_checkpoint(path: str, params: NetworkParams) -> None:
+    """Write the network's arch and weights as raw float64.
 
     Layout: magic, format version, JSON header length, JSON header
-    (shapes and scalars), then every array's little-endian float64 bytes
-    in header order.  Round-trips are bit-exact.
+    (arch and array shapes), then every array's little-endian float64
+    bytes in header order.  Round-trips are bit-exact.  The header's
+    ``optimizer`` field is always null: optimizer state is not saved.
     """
-    arrays = [(name, params.arrays[name]) for name in params.arrays]
-    header: dict = {
+    header = {
         "arch": {
             **{key: getattr(params, key) for key in _ARCH_INTS},
             "kernels": list(params.kernels),
             "leaky_slope": params.leaky_slope,
         },
-        "arrays": [[n, list(a.shape)] for n, a in arrays],
+        "arrays": [[n, list(a.shape)] for n, a in params.arrays.items()],
+        "optimizer": None,
     }
-    blobs = [a for _, a in arrays]
-    if state is not None:
-        slots = [(f"m.{n}", state.m[n]) for n in params.arrays]
-        slots += [(f"v.{n}", state.v[n]) for n in params.arrays]
-        header["optimizer"] = {
-            "t": state.t,
-            "slots": [[n, list(a.shape)] for n, a in slots],
-            **{key: getattr(state, key) for key in _NADAM_FLOATS},
-        }
-        blobs += [a for _, a in slots]
-    else:
-        header["optimizer"] = None
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(head)))
         fh.write(head)
-        for blob in blobs:
-            fh.write(np.ascontiguousarray(blob, dtype="<f8").tobytes())
+        for a in params.arrays.values():
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str) -> tuple[NetworkParams, OptimizerState | None]:
+def load_checkpoint(path: str) -> tuple[NetworkParams, None]:
+    """Read a ``save_checkpoint`` file; the second item is always None."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(_MAGIC) + 12 or data[: len(_MAGIC)] != _MAGIC:
@@ -732,44 +721,29 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, OptimizerState | None]:
         raise DataError(f"{path}: corrupt checkpoint header") from None
     off += head_len
 
-    def read_arrays(specs: list) -> dict[str, np.ndarray]:
-        nonlocal off
-        out: dict[str, np.ndarray] = {}
-        for spec in specs:
-            if not (
-                isinstance(spec, list) and len(spec) == 2 and type(spec[0]) is str
-                and isinstance(spec[1], list) and all(type(d) is int and d >= 0 for d in spec[1])
-            ):
-                raise DataError(f"{path}: malformed array entry {spec!r} in checkpoint header")
-            name, shape = spec
-            if name in out:
-                raise DataError(f"{path}: array {name!r} listed twice in checkpoint header")
-            n_items = int(np.prod(shape)) if shape else 1
-            n_bytes = 8 * n_items
-            if off + n_bytes > len(data):
-                raise DataError(f"{path}: truncated checkpoint data at array {name!r}")
-            out[name] = (
-                np.frombuffer(data[off : off + n_bytes], dtype="<f8")
-                .astype(np.float64)
-                .reshape(shape)
-            )
-            if not np.isfinite(out[name]).all():
-                raise DataError(f"{path}: array {name!r} holds non-finite values")
-            off += n_bytes
-        return out
-
-    def check_shapes(arrays: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:
-        got = {name: a.shape for name, a in arrays.items()}
-        for name in sorted(expected.keys() | got.keys()):
-            if got.get(name) != expected.get(name):
-                raise DataError(
-                    f"{path}: array {name!r} has shape {got.get(name, 'absent')}, "
-                    f"arch implies {expected.get(name, 'absent')}"
-                )
-
     arch = require(header, "arch", (dict,), path)
+    if header.get("optimizer") is not None:
+        raise DataError(f"{path}: checkpoints with optimizer state are not supported")
+    arrays: dict[str, np.ndarray] = {}
+    for spec in require(header, "arrays", (list,), path):
+        if not (
+            isinstance(spec, list) and len(spec) == 2 and type(spec[0]) is str
+            and isinstance(spec[1], list) and all(type(d) is int and d >= 0 for d in spec[1])
+        ):
+            raise DataError(f"{path}: malformed array entry {spec!r} in checkpoint header")
+        name, shape = spec
+        if name in arrays:
+            raise DataError(f"{path}: array {name!r} listed twice in checkpoint header")
+        n_bytes = 8 * int(np.prod(shape))
+        if off + n_bytes > len(data):
+            raise DataError(f"{path}: truncated checkpoint data at array {name!r}")
+        raw = np.frombuffer(data[off : off + n_bytes], dtype="<f8")
+        arrays[name] = raw.astype(np.float64).reshape(shape)
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"{path}: array {name!r} holds non-finite values")
+        off += n_bytes
     params = NetworkParams(
-        arrays=read_arrays(require(header, "arrays", (list,), path)),
+        arrays=arrays,
         kernels=tuple(require(arch, "kernels", (list,), path, items=(int,))),
         leaky_slope=float(require(arch, "leaky_slope", NUMBER, path)),
         **{key: require(arch, key, (int,), path) for key in _ARCH_INTS},
@@ -778,20 +752,14 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, OptimizerState | None]:
         _check_arch(params)
     except ValueError as exc:
         raise DataError(f"{path}: arch {exc}") from None
-    shapes = _array_shapes(params)
-    check_shapes(params.arrays, shapes)
-    state = None
-    opt = header.get("optimizer")
-    if opt is not None:
-        slots = read_arrays(require(opt, "slots", (list,), path))
-        # Nadam keeps one first and one second moment per array.
-        check_shapes(slots, {f"{mv}.{n}": s for mv in "mv" for n, s in shapes.items()})
-        state = OptimizerState(
-            m={n: slots[f"m.{n}"] for n in shapes},
-            v={n: slots[f"v.{n}"] for n in shapes},
-            t=require(opt, "t", (int,), path),
-            **{key: float(require(opt, key, NUMBER, path)) for key in _NADAM_FLOATS},
-        )
+    got = {name: a.shape for name, a in arrays.items()}
+    expected = _array_shapes(params)
+    for name in sorted(expected.keys() | got.keys()):
+        if got.get(name) != expected.get(name):
+            raise DataError(
+                f"{path}: array {name!r} has shape {got.get(name, 'absent')}, "
+                f"arch implies {expected.get(name, 'absent')}"
+            )
     if off != len(data):
         raise DataError(f"{path}: {len(data) - off} trailing bytes after checkpoint data")
-    return params, state
+    return params, None

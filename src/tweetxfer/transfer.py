@@ -432,10 +432,14 @@ def finetune(
             )
             if phase.select_best and value > best_metric:
                 best_metric = value
-                best_snapshot = {n: a.copy() for n, a in params.arrays.items()}
+                # Frozen groups cannot change within a phase, so only the
+                # trainable arrays need a copy.
+                best_snapshot = {
+                    n: a.copy() for n, a in params.arrays.items()
+                    if net.layer_of(n) in phase.trainable
+                }
         if phase.select_best and best_snapshot is not None:
-            for n in params.arrays:
-                params.arrays[n] = best_snapshot[n]
+            params.arrays.update(best_snapshot)
         history.append(phase_history)
         best_scores.append(max(phase_history) if phase_history else -np.inf)
     return FinetuneResult(params=params, history=history, best_scores=best_scores)

@@ -7,12 +7,18 @@ whole file runs in a couple of minutes on a laptop.
 
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tweetxfer
 from tweetxfer import lda, net, textprep, transfer
 from tweetxfer.cli import main as cli_main
 from tweetxfer.corpus import LabeledTweet, extract_mention_lists, load_labeled, save_labeled
@@ -365,59 +371,91 @@ tail = 8
 """
 
 
-def _pipeline(root):
-    """Every subcommand once; returns artifact bytes and stdout captures."""
+def _write_inputs(root):
+    """The pipeline's config file and input corpora, written under ``root``."""
     root.mkdir(parents=True, exist_ok=True)
-    cfg = root / "run.cfg"
-    cfg.write_text(_CFG, encoding="utf-8")
-
-    labeled = root / "labeled.tsv"
-    save_labeled(separable_labeled(40, seed=0), str(labeled))
+    (root / "run.cfg").write_text(_CFG, encoding="utf-8")
+    save_labeled(separable_labeled(40, seed=0), str(root / "labeled.tsv"))
     docs, _ = planted_topic_docs(60, seed=1)
-    topic_corpus = root / "topics.txt"
-    corpus.save_token_lines(docs, str(topic_corpus))
+    corpus.save_token_lines(docs, str(root / "topics.txt"))
+    corpus.save_raw(raw_from_docs(docs), str(root / "topic_tweets.jsonl"))
     tweets, _ = clique_mentions(n_cliques=2, users_per_clique=5, n_tweets=80, seed=2)
-    mentions = root / "mentions.txt"
-    corpus.save_token_lines(extract_mention_lists(tweets, 2, 1), str(mentions))
-    comments = root / "comments.jsonl"
-    save_comments(comment_records(30, seed=4), str(comments))
+    corpus.save_token_lines(extract_mention_lists(tweets, 2, 1), str(root / "mentions.txt"))
+    emos, _ = emoji_tweets(40, seed=3)
+    corpus.save_raw(emos, str(root / "emoji.jsonl"))
+    save_comments(comment_records(30, seed=4), str(root / "comments.jsonl"))
 
-    captured = {}
 
-    def run(name, argv):
+def _commands(root):
+    """Every subcommand once, as (name, argv) pairs over ``_write_inputs`` files."""
+    cfg, split = str(root / "run.cfg"), root / "split"
+    return [
+        ("prepare", ["prepare", "--labeled", str(root / "labeled.tsv"), "--out", str(split),
+                     "--config", cfg]),
+        ("lda", ["lda-train", "--corpus", str(root / "topics.txt"),
+                 "--out", str(root / "model.json"), "--config", cfg]),
+        ("clusters", ["cluster-users", "--mentions", str(root / "mentions.txt"), "--k", "2",
+                      "--iters", "30", "--out", str(root / "clusters.tsv"), "--config", cfg]),
+        ("pretrain", ["pretrain", "--task", "category", "--corpus", str(root / "comments.jsonl"),
+                      "--config", cfg, "--out", str(root / "pre.ckpt")]),
+        ("pretrain-emoji", ["pretrain", "--task", "emoji", "--corpus", str(root / "emoji.jsonl"),
+                            "--config", cfg, "--out", str(root / "pre_emoji.ckpt")]),
+        ("pretrain-topic", ["pretrain", "--task", "topic",
+                            "--corpus", str(root / "topic_tweets.jsonl"),
+                            "--lda", str(root / "model.json"), "--config", cfg,
+                            "--out", str(root / "pre_topic.ckpt")]),
+        ("finetune", ["finetune", "--ckpt", str(root / "pre.ckpt"), "--strategy", "tu",
+                      "--task", "coarse", "--train", str(split / "train.tsv"),
+                      "--valid", str(split / "valid.tsv"), "--config", cfg,
+                      "--epochs", "1", "--out", str(root / "ft.ckpt")]),
+        ("evaluate", ["evaluate", "--ckpt", str(root / "ft.ckpt"),
+                      "--data", str(split / "valid.tsv"), "--task", "coarse",
+                      "--config", cfg, "--report", str(root / "report.txt"),
+                      "--errors", str(root / "errors.tsv")]),
+        ("baseline", ["baseline", "--train", str(split / "train.tsv"),
+                      "--valid", str(split / "valid.tsv"), "--task", "coarse",
+                      "--config", cfg, "--top-terms", "3"]),
+        ("gradcheck", ["gradcheck", "--config", cfg, "--samples", "2"]),
+        ("fixtures", ["make-fixtures", "--out", str(root / "fx"), "--config", cfg]),
+    ]
+
+
+def _outputs(root, stdouts):
+    """Every file under ``root`` but the config, plus each command's stdout."""
+    captured = {f"stdout:{name}": out.replace(str(root), "<root>") for name, out in stdouts}
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name != "run.cfg":
+            captured[str(path.relative_to(root))] = path.read_bytes()
+    return captured
+
+
+def _pipeline(root):
+    """Every subcommand once, in this process; returns ``_outputs``."""
+    _write_inputs(root)
+    stdouts = []
+    for name, argv in _commands(root):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli_main(argv)
         assert code == 0, (name, argv)
-        captured[f"stdout:{name}"] = out.getvalue().replace(str(root), "<root>")
+        stdouts.append((name, out.getvalue()))
+    return _outputs(root, stdouts)
 
-    split = root / "split"
-    run("prepare", ["prepare", "--labeled", str(labeled), "--out", str(split),
-                    "--config", str(cfg)])
-    run("lda", ["lda-train", "--corpus", str(topic_corpus), "--out", str(root / "model.json"),
-                "--config", str(cfg)])
-    run("clusters", ["cluster-users", "--mentions", str(mentions), "--k", "2", "--iters", "30",
-                     "--out", str(root / "clusters.tsv"), "--config", str(cfg)])
-    run("pretrain", ["pretrain", "--task", "category", "--corpus", str(comments),
-                     "--config", str(cfg), "--out", str(root / "pre.ckpt")])
-    run("finetune", ["finetune", "--ckpt", str(root / "pre.ckpt"), "--strategy", "tu",
-                     "--task", "coarse", "--train", str(split / "train.tsv"),
-                     "--valid", str(split / "valid.tsv"), "--config", str(cfg),
-                     "--epochs", "1", "--out", str(root / "ft.ckpt")])
-    run("evaluate", ["evaluate", "--ckpt", str(root / "ft.ckpt"),
-                     "--data", str(split / "valid.tsv"), "--task", "coarse",
-                     "--config", str(cfg), "--report", str(root / "report.txt"),
-                     "--errors", str(root / "errors.tsv")])
-    run("baseline", ["baseline", "--train", str(split / "train.tsv"),
-                     "--valid", str(split / "valid.tsv"), "--task", "coarse",
-                     "--config", str(cfg), "--top-terms", "3"])
-    run("gradcheck", ["gradcheck", "--config", str(cfg), "--samples", "2"])
-    run("fixtures", ["make-fixtures", "--out", str(root / "fx"), "--config", str(cfg)])
 
-    for path in sorted(root.rglob("*")):
-        if path.is_file() and path != cfg:
-            captured[str(path.relative_to(root))] = path.read_bytes()
-    return captured
+# Runs the (name, argv) pairs in the JSON file argv[1] through the CLI and
+# prints [[name, stdout], ...] as JSON; a failing command exits 1.
+_CHILD = """
+import contextlib, io, json, pathlib, sys
+from tweetxfer.cli import main
+stdouts = []
+for name, argv in json.loads(pathlib.Path(sys.argv[1]).read_text(encoding="utf-8")):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if main(argv) != 0:
+            sys.exit(f"{name} failed")
+    stdouts.append([name, out.getvalue()])
+json.dump(stdouts, sys.stdout)
+"""
 
 
 def test_determinism_and_round_trips(tmp_path):
@@ -448,4 +486,45 @@ def test_determinism_and_round_trips(tmp_path):
         f"{len(first)} artifacts byte-identical across reruns "
         f"(differing: {differing or 'none'}), checkpoint exact {ckpt_exact}, "
         f"tsv exact {tsv_exact}",
+    )
+
+
+def test_determinism_across_processes(tmp_path):
+    """Fresh interpreters with different hash seeds write the same bytes.
+
+    An in-process rerun shares one hash seed, so it cannot see output
+    that depends on set or frozenset iteration order; this check can.
+    """
+    t0 = time.time()
+    src = str(Path(tweetxfer.__file__).resolve().parents[1])
+    children = {}
+    for hash_seed in ("1", "2"):
+        root = tmp_path / f"hash{hash_seed}"
+        _write_inputs(root)
+        commands = tmp_path / f"commands{hash_seed}.json"
+        commands.write_text(json.dumps(_commands(root)), encoding="utf-8")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        children[root] = subprocess.Popen(
+            [sys.executable, "-c", _CHILD, str(commands)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    runs = []
+    try:
+        for root, child in children.items():
+            stdout, stderr = child.communicate(timeout=120)
+            assert child.returncode == 0, stderr
+            runs.append((_outputs(root, json.loads(stdout)), stderr))
+    finally:
+        for child in children.values():
+            child.kill()
+    (first, first_err), (second, second_err) = runs
+    differing = sorted(k for k in first.keys() | second.keys() if first.get(k) != second.get(k))
+    elapsed = time.time() - t0
+    _verdict(
+        "determinism across processes",
+        not differing and first_err == second_err and elapsed < 60,
+        f"{len(first)} artifacts and stdouts under PYTHONHASHSEED 1 and 2 "
+        f"(differing: {differing or 'none'}), stderr equal {first_err == second_err}, "
+        f"{elapsed:.1f}s",
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tweetxfer import corpus, evalkit, lda, net, transfer
-from tweetxfer.cli import _load_table, main
+from tweetxfer.cli import _load_table, _report, main
 from tweetxfer.config import load_config
 from tweetxfer.fixtures import (
     clique_mentions,
@@ -416,6 +416,49 @@ class TestEvaluateCli:
         expected += [f"fn\t{g}\t{p}\t{text}" for g, p, text in items if g == "insult" != p]
         assert errs.read_text(encoding="utf-8").splitlines() == expected
 
+    def test_checkpoints_of_one_width_encode_once(self, ws, trained, monkeypatch):
+        calls = []
+        real = transfer.encode_labeled
+
+        def counting(*args, **kwargs):
+            calls.append(args[-1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "encode_labeled", counting)
+        ckpt = trained["ft"]
+        code, stdout, _ = _run([
+            "evaluate", "--ckpt", ckpt, ckpt, ckpt, "--data", trained["valid"],
+            "--task", "coarse", "--config", ws["cfg"],
+        ])
+        assert code == 0
+        assert calls == [3]
+
+        params, _ = net.load_checkpoint(ckpt)
+        valid = corpus.load_labeled(trained["valid"])
+        table = _load_table(None, load_config(ws["cfg"]))
+        encoded = real(valid, "coarse", table, None, params.cluster_width)
+        preds = [corpus.COARSE_LABELS[p] for p in transfer.predict_dataset(params, encoded)]
+        golds = [t.coarse for t in valid]
+        report = _report("coarse", preds, golds)
+        assert stdout == evalkit.format_report(evalkit.aggregate_runs([report] * 3), runs=3)
+
+    def test_vectors_of_wrong_dim_rejected_like_finetune(self, ws, trained, tmp_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("haus 0.1 0.2 0.3\n", encoding="utf-8")
+        flags = ["--task", "coarse", "--config", ws["cfg"], "--vectors", str(vectors)]
+        code, _, err = _run([
+            "evaluate", "--ckpt", trained["ft"], "--data", trained["valid"], *flags,
+        ])
+        assert code == 2
+        assert err == "data error: checkpoint expects 12-dim embeddings, vectors give 3\n"
+        code, _, ft_err = _run([
+            "finetune", "--ckpt", trained["ft"], "--strategy", "none",
+            "--train", trained["train"], "--valid", trained["valid"],
+            "--out", str(tmp_path / "x.ckpt"), *flags,
+        ])
+        assert code == 2
+        assert ft_err == err
+
     def test_task_head_mismatch(self, ws, trained, tmp_path):
         code, _, err = _run([
             "evaluate", "--ckpt", trained["ft"], "--data", trained["valid"],
@@ -454,6 +497,30 @@ class TestMalformedArtifactsCli:
         ])
         assert code == 2
         assert err.startswith("data error:") and "non-finite" in err
+
+    def test_checkpoint_with_optimizer_state(self, ws, trained, tmp_path):
+        """The layout older versions wrote: Nadam moments after the weights."""
+        data = pathlib.Path(trained["ft"]).read_bytes()
+        (head_len,) = struct.unpack_from("<Q", data, 12)
+        header = json.loads(data[20 : 20 + head_len])
+        slots = [[f"{mv}.{n}", shape] for mv in "mv" for n, shape in header["arrays"]]
+        header["optimizer"] = {
+            "t": 1, "slots": slots, "m_prod": 0.5, "lr": 0.002,
+            "beta1": 0.99, "beta2": 0.999, "eps": 1e-8, "schedule_decay": 0.004,
+        }
+        moments = b"\x00" * (2 * (len(data) - 20 - head_len))
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "nadam.ckpt"
+        bad.write_bytes(data[:12] + struct.pack("<Q", len(head)) + head
+                        + data[20 + head_len :] + moments)
+        code, stdout, err = _run([
+            "evaluate", "--ckpt", str(bad), "--data", trained["valid"],
+            "--task", "coarse", "--config", ws["cfg"],
+        ])
+        assert code == 2 and stdout == ""
+        assert err == (
+            f"data error: {bad}: checkpoints with optimizer state are not supported\n"
+        )
 
     def test_topic_model_without_vocab(self, ws, trained, tmp_path):
         payload = json.loads(pathlib.Path(trained["lda"]).read_text(encoding="utf-8"))

@@ -27,11 +27,10 @@ class TestDefaults:
     def test_optimizer_defaults(self):
         assert RunConfig().lr == 0.002
         params = net.init_params(2, 0, embed_dim=4, hidden=2, filters=2, dense=2)
-        state = net.OptimizerState.for_params(params)
-        assert state.lr == 0.002
-        assert state.beta1 == 0.99
-        assert state.beta2 == 0.999
-        assert state.schedule_decay == 0.004
+        assert net.OptimizerState.for_params(params).lr == 0.002
+        assert (net.BETA1, net.BETA2, net.EPSILON, net.SCHEDULE_DECAY) == (
+            0.99, 0.999, 1e-8, 0.004
+        )
 
 
 def _cfg_reads() -> set[str]:

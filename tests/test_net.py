@@ -529,25 +529,6 @@ class TestCheckpoints:
         for name in params.arrays:
             np.testing.assert_array_equal(back.arrays[name], params.arrays[name])
 
-    def test_round_trip_with_optimizer(self, tmp_path):
-        params = _small_params(seed=8)
-        batch = _small_batch(seed=8)
-        state = OptimizerState.for_params(params, lr=0.01, beta1=0.95)
-        for i in range(3):
-            _, cache = forward(params, batch, mode="train", dropout_seed=i)
-            grads = backward(params, batch, cache)
-            params, state = step(params, grads, state)
-        path = tmp_path / "net.ckpt"
-        save_checkpoint(str(path), params, state)
-        back, bstate = load_checkpoint(str(path))
-        assert bstate is not None
-        assert bstate.t == 3 and bstate.lr == 0.01 and bstate.beta1 == 0.95
-        assert bstate.m_prod == state.m_prod
-        for name in params.arrays:
-            np.testing.assert_array_equal(back.arrays[name], params.arrays[name])
-            np.testing.assert_array_equal(bstate.m[name], state.m[name])
-            np.testing.assert_array_equal(bstate.v[name], state.v[name])
-
     def test_save_is_deterministic(self, tmp_path):
         params = _small_params(seed=9)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -604,16 +585,16 @@ class TestCheckpoints:
             lambda h: h.update(arrays={}),
             lambda h: h["arrays"].__setitem__(0, ["lstm_fw_W", [-1]]),
             lambda h: h["arrays"].__setitem__(0, [7, [1]]),
-            lambda h: h["optimizer"].pop("slots"),
-            lambda h: h["optimizer"].update(t=1.5),
-            lambda h: h["optimizer"].pop("lr"),
+            lambda h: h["arrays"].__setitem__(0, ["lstm_fw_W"]),
+            lambda h: h["arrays"].__setitem__(0, ["lstm_fw_W", [16, 32.0]]),
+            lambda h: h.update(optimizer={"t": 3, "slots": []}),
             lambda h: h.update(optimizer=3),
+            lambda h: h.update(optimizer=0),
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, edit):
-        params = _small_params()
         path = tmp_path / "x.ckpt"
-        save_checkpoint(str(path), params, OptimizerState.for_params(params))
+        save_checkpoint(str(path), _small_params())
         header = _read_header(path)
         edit(header)
         _write_header(path, header)
@@ -683,37 +664,13 @@ class TestCheckpoints:
         with pytest.raises(DataError, match=f"x.ckpt: array '{name}' holds non-finite"):
             load_checkpoint(str(path))
 
-    def test_non_finite_optimizer_moment_is_data_error(self, tmp_path):
-        params = _small_params()
-        state = OptimizerState.for_params(params)
-        state.v["dense_b"][3] = np.nan
+    def test_array_listed_twice_is_data_error(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_checkpoint(str(path), params, state)
-        with pytest.raises(DataError, match="x.ckpt: array 'v.dense_b' holds non-finite"):
-            load_checkpoint(str(path))
-
-    @pytest.mark.parametrize(
-        "edit,needle",
-        [
-            (lambda slots: slots[0].__setitem__(0, "m.bogus"), "array 'm.bogus' has shape"),
-            (lambda slots: slots[0].__setitem__(0, "x.lstm_fw_W"), "array 'm.lstm_fw_W' has shape"),
-            (lambda slots: slots.pop(), "array 'v.out_b' has shape absent"),
-            (lambda slots: slots[-1].__setitem__(1, [1, 3]), "array 'v.out_b' has shape"),
-            (
-                lambda slots: slots[1].__setitem__(0, slots[0][0]),
-                "array 'm.lstm_fw_W' listed twice",
-            ),
-        ],
-        ids=["unknown_name", "wrong_prefix", "missing", "wrong_shape", "duplicate"],
-    )
-    def test_optimizer_slots_must_match_arrays(self, tmp_path, edit, needle):
-        params = _small_params()
-        path = tmp_path / "x.ckpt"
-        save_checkpoint(str(path), params, OptimizerState.for_params(params))
+        save_checkpoint(str(path), _small_params())
         header = _read_header(path)
-        edit(header["optimizer"]["slots"])
+        header["arrays"][1][0] = header["arrays"][0][0]
         _write_header(path, header)
-        with pytest.raises(DataError, match=f"x.ckpt: {needle}"):
+        with pytest.raises(DataError, match="x.ckpt: array 'lstm_fw_W' listed twice"):
             load_checkpoint(str(path))
 
     def test_array_shapes_match_init_params(self):

@@ -392,6 +392,18 @@ class TestFinetune:
         for layer in (1, 2, 3):
             assert after[layer] == before[layer]
 
+    def test_best_keeping_phase_leaves_frozen_arrays_in_place(self):
+        """Only trainable arrays are snapshotted and restored, so frozen
+        ones come back as the very same objects."""
+        train, valid = self._datasets(seed=6)
+        params = _tiny_params(2, 0, 10)
+        frozen = {n: a for n, a in params.arrays.items() if net.layer_of(n) != 4}
+        sched = FreezeSchedule("bu", (Phase(frozenset({4}), 2, True),))
+        result = finetune(params, sched, train, valid, seed=0, batch_size=8)
+        assert result.params is params
+        for name, array in frozen.items():
+            assert params.arrays[name] is array
+
     def test_best_snapshot_restored(self):
         """After a best-keeping phase the returned params reproduce the
         best validation score seen in that phase's history."""

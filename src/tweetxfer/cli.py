@@ -64,20 +64,12 @@ def _fresh_network(
     )
 
 
-def _tokenize_labeled(tweets) -> list[textprep.TokenizedTweet]:
-    return [textprep.tokenize(textprep.normalize(t.text), source_id=t.id) for t in tweets]
-
-
-# The validation metric of each labeled task, as ``transfer.metric_fn`` names it.
+# The validation metric of each labeled task, as ``evalkit.scorer`` names it.
 _METRIC = {"coarse": "binary_f1", "fine": "macro_f1"}
 
 
 def _report(task: str, preds: list[str], golds: list[str]) -> evalkit.MetricsReport:
-    """Binary scores for the task's first label, or macro scores over all of them."""
-    names = corpus.TASK_LABELS[task]
-    if _METRIC[task] == "binary_f1":
-        return evalkit.binary_metrics(preds, golds, positive=names[0])
-    return evalkit.macro_metrics(preds, golds, classes=list(names))
+    return evalkit.scorer(_METRIC[task], corpus.TASK_LABELS[task])(preds, golds)
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
@@ -88,7 +80,7 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
     corpus.save_labeled(list(split.train), os.path.join(args.out, "train.tsv"))
     corpus.save_labeled(list(split.validation), os.path.join(args.out, "valid.tsv"))
     if args.tokenized:
-        docs = [list(t.tokens) for t in _tokenize_labeled(tweets)]
+        docs = [list(transfer.tokenize_text(t.text, t.id).tokens) for t in tweets]
         corpus.save_token_lines(docs, args.tokenized)
     print(f"train {len(split.train)} validation {len(split.validation)}")
     return 0
@@ -283,8 +275,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     train = corpus.load_labeled(args.train)
     valid = corpus.load_labeled(args.valid)
     train_labels = [getattr(t, args.task) for t in train]
-    tok_train = _tokenize_labeled(train)
-    tok_valid = _tokenize_labeled(valid)
+    tok_train = [transfer.tokenize_text(t.text, t.id) for t in train]
+    tok_valid = [transfer.tokenize_text(t.text, t.id) for t in valid]
     idf = embed.compute_idf(tok_train)
     model = baseline.train_linear(
         baseline.featurize(tok_train, table, idf),

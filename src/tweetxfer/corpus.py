@@ -85,23 +85,24 @@ def unescape_text(text: str) -> str:
 
 
 def load_labeled(path: str) -> list[LabeledTweet]:
-    """Read a three-column labeled tweet file, preserving line order."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
+    """Read a three-column labeled tweet file, preserving line order.
+
+    Records end at newlines only: U+2028, form feed and the other line
+    breaks of ``str.splitlines`` are text.
+    """
     tweets: list[LabeledTweet] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(
-                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        text, coarse, fine = fields
-        try:
-            tweets.append(
-                LabeledTweet(id=str(lineno), text=unescape_text(text), coarse=coarse, fine=fine)
-            )
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.removesuffix("\n").split("\t")
+            if len(fields) != 3:
+                raise DataError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                )
+            text, coarse, fine = fields
+            try:
+                tweets.append(LabeledTweet(str(lineno), unescape_text(text), coarse, fine))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
     return tweets
 
 

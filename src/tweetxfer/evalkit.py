@@ -9,7 +9,7 @@ of a combined confusion matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,20 @@ def macro_metrics(
         accuracy=_accuracy(predictions, golds),
         n=len(golds),
     )
+
+
+def scorer(metric: str, labels: Sequence[Hashable]) -> Callable[..., MetricsReport]:
+    """(predictions, golds) -> the report a validation metric reads.
+
+    ``binary_f1`` scores ``labels[0]`` as the positive class; ``macro_f1``
+    averages over all ``labels``.  Other names raise ValueError.
+    """
+    labels = list(labels)
+    if metric == "binary_f1":
+        return lambda predictions, golds: binary_metrics(predictions, golds, positive=labels[0])
+    if metric == "macro_f1":
+        return lambda predictions, golds: macro_metrics(predictions, golds, classes=labels)
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 def aggregate_runs(reports: Sequence[MetricsReport]) -> MetricsReport:

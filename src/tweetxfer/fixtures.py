@@ -16,7 +16,7 @@ import numpy as np
 
 from . import corpus, net, textprep
 from .corpus import LabeledTweet, RawTweet
-from .transfer import CommentAnnotation, CommentRecord
+from .transfer import CommentAnnotation, CommentRecord, tokenize_text
 
 _FINE_OFFENSE = ("insult", "profanity", "abuse")
 _TOPIC_PREFIX = "qzvxj"
@@ -315,7 +315,7 @@ def write_all(outdir: str, seed: int = 0) -> list[str]:
     words = set(topic_vocabulary(2, 30))
     for tweetlist in (emo, mention_tweets):
         for t in tweetlist:
-            words.update(textprep.tokenize(textprep.normalize(t.text)).tokens)
+            words.update(tokenize_text(t.text, t.id).tokens)
     words = {w for w in words if w.isalnum()}
     write_vectors_file(out("vectors.txt"), word_vector_table(sorted(words), dim=300, seed=seed))
     return paths

@@ -3,8 +3,8 @@
 Everything is float64 numpy; there is no autograd.  Parameters are
 grouped into four freeze units: 1 = the two LSTM directions, 2 = the
 convolution blocks, 3 = the hidden dense layer, 4 = the prediction
-layer.  A freeze mask names the trainable groups; backward zeroes the
-rest and the optimizer never touches them.
+layer.  A freeze mask names the trainable groups; only their arrays get
+gradients, optimizer moments and updates.
 
 Input batches carry per-token embedding rows plus a 0/1 validity mask.
 Sequences shorter than the widest convolution kernel are treated as if
@@ -78,8 +78,8 @@ class NetworkParams:
     def min_len(self) -> int:
         return max(self.kernels)
 
-    def layer_names(self, layer: int) -> list[str]:
-        return [n for n in self.arrays if layer_of(n) == layer]
+    def layer_names(self, *layers: int) -> list[str]:
+        return [n for n in self.arrays if layer_of(n) in layers]
 
     def copy(self) -> "NetworkParams":
         return replace(self, arrays={n: a.copy() for n, a in self.arrays.items()})
@@ -484,10 +484,10 @@ def backward(
     cache: ForwardCache,
     freeze: FreezeMask = ALL_LAYERS,
 ) -> dict[str, np.ndarray]:
-    """Gradients of the mean cross-entropy for every parameter array.
+    """Gradients of the mean cross-entropy for the trainable arrays only.
 
-    Frozen layers come back as exact zeros.  The cache must come from a
-    forward pass over these same params.
+    Frozen arrays are absent.  The cache must come from a forward pass
+    over these same params.
     """
     if cache.params is not params:
         raise ValueError("cache was built from different params")
@@ -543,10 +543,7 @@ def backward(
         grads[f"lstm_{direction}_U"] = dU
         grads[f"lstm_{direction}_b"] = db
 
-    return {
-        n: grads[n] if layer_of(n) in freeze.trainable else np.zeros_like(a)
-        for n, a in params.arrays.items()
-    }
+    return {n: grads[n] for n in params.layer_names(*freeze.trainable)}
 
 
 # Nadam's fixed hyper-parameters (Dozat 2016); the learning rate is the only knob.
@@ -558,7 +555,7 @@ SCHEDULE_DECAY = 0.004
 
 @dataclass
 class OptimizerState:
-    """Nadam state: per-array first and second moments plus schedule."""
+    """Nadam state: first and second moments of the trainable arrays plus schedule."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -567,12 +564,12 @@ class OptimizerState:
     lr: float = 0.002
 
     @classmethod
-    def for_params(cls, params: NetworkParams, lr: float = 0.002) -> "OptimizerState":
-        return cls(
-            m={n: np.zeros_like(a) for n, a in params.arrays.items()},
-            v={n: np.zeros_like(a) for n, a in params.arrays.items()},
-            lr=lr,
-        )
+    def for_params(
+        cls, params: NetworkParams, freeze: FreezeMask = ALL_LAYERS, lr: float = 0.002
+    ) -> "OptimizerState":
+        """Zero moments for the arrays of ``freeze``'s groups only."""
+        m = {n: np.zeros_like(params.arrays[n]) for n in params.layer_names(*freeze.trainable)}
+        return cls(m=m, v={n: np.zeros_like(a) for n, a in m.items()}, lr=lr)
 
 
 def _momentum(t: int) -> float:
@@ -589,11 +586,12 @@ def step(
 
     Uses the momentum-schedule variant: each step blends the bias
     corrected current gradient with the next step's look-ahead momentum.
-    Frozen arrays and their moments stay bit-identical.
+    ``grads`` and ``state`` need only the trainable arrays, as ``backward``
+    and ``OptimizerState.for_params`` give them; frozen ones stay bit-identical.
     """
     if not freeze.trainable:
         raise ValueError("freeze mask selects no trainable layers")
-    names = [n for n in params.arrays if layer_of(n) in freeze.trainable]
+    names = params.layer_names(*freeze.trainable)
     for n in names:
         if not np.isfinite(grads[n]).all():
             raise ValueError(f"non-finite gradient in {n!r} (layer {layer_of(n)})")
@@ -648,9 +646,7 @@ def gradient_check(
     grads = backward(params, batch, cache, freeze)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for name in params.arrays:
-        if layer_of(name) not in freeze.trainable:
-            continue
+    for name, grad in grads.items():
         arr = params.arrays[name]
         count = min(samples_per_array, arr.size)
         flat_idx = rng.choice(arr.size, size=count, replace=False)
@@ -663,7 +659,7 @@ def gradient_check(
             down = loss(forward(params, batch, mode=mode, dropout_seed=dropout_seed)[0], batch.labels)
             arr[ij] = orig
             numeric = (up - down) / (2.0 * eps)
-            analytic = grads[name][ij]
+            analytic = grad[ij]
             denom = max(abs(analytic), abs(numeric), 1e-6)
             worst = max(worst, abs(analytic - numeric) / denom)
     return worst

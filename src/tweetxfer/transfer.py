@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import corpus, net, textprep
+from . import corpus, evalkit, net, textprep
 from .corpus import LabeledTweet, RawTweet
 from .embed import EmbeddingTable
 from .errors import DataError, require
-from .evalkit import binary_metrics, macro_metrics
+from .evalkit import binary_metrics, macro_metrics  # noqa: F401 (perfbench probes them here)
 from .lda import LdaModel, UserClusters, majority_topic
 from .textprep import TokenizedTweet
 
@@ -78,7 +78,8 @@ def load_comments(path: str) -> list[CommentRecord]:
     return records
 
 
-def _tokenized(text: str, source_id: str) -> TokenizedTweet:
+def tokenize_text(text: str, source_id: str) -> TokenizedTweet:
+    """The one tokenize recipe: ``textprep.normalize``, then ``textprep.tokenize``."""
     return textprep.tokenize(textprep.normalize(text), source_id=source_id)
 
 
@@ -96,7 +97,7 @@ def build_category_task(comments: list[CommentRecord]) -> PretrainTask:
         inappropriate = sum(a.inappropriate for a in rec.annotations)
         discriminating = sum(a.discriminating for a in rec.annotations)
         offensive = 2 * inappropriate > n or 2 * discriminating > n
-        examples.append((_tokenized(rec.text, rec.id), 0 if offensive else 1))
+        examples.append((tokenize_text(rec.text, rec.id), 0 if offensive else 1))
     return PretrainTask(
         kind="category", examples=tuple(examples), label_space=("offense", "other")
     )
@@ -115,7 +116,7 @@ def build_emoji_task(tweets: list[RawTweet]) -> PretrainTask:
     for t in tweets:
         if not t.emojis:
             continue
-        tokens = _tokenized(textprep.remove_emoji(t.text), t.id)
+        tokens = tokenize_text(textprep.remove_emoji(t.text), t.id)
         for e in t.emojis:
             examples.append((tokens, index[e]))
     return PretrainTask(kind="emoji", examples=tuple(examples), label_space=label_space)
@@ -136,7 +137,7 @@ def build_topic_task(
     """
     examples = []
     for t in tweets:
-        tokens = _tokenized(t.text, t.id)
+        tokens = tokenize_text(t.text, t.id)
         meaningful = textprep.meaningful_tokens(tokens, stopwords)
         if len(meaningful) < min_tokens:
             continue
@@ -206,7 +207,7 @@ def encode_labeled(
     feats = []
     labels = []
     for t in tweets:
-        tokens = _tokenized(t.text, t.id)
+        tokens = tokenize_text(t.text, t.id)
         sequences.append(table.embed_tokens(tokens.tokens))
         feats.append(
             cluster_features_for(corpus.extract_mentions(t.text), clusters, cluster_width)
@@ -380,12 +381,9 @@ class FinetuneResult:
 
 
 def metric_fn(metric: str, n_classes: int):
-    if metric == "binary_f1":
-        return lambda preds, golds: binary_metrics(list(preds), list(golds), positive=0).averaged.f1
-    if metric == "macro_f1":
-        classes = list(range(n_classes))
-        return lambda preds, golds: macro_metrics(list(preds), list(golds), classes).averaged.f1
-    raise ValueError(f"unknown metric {metric!r}")
+    """Averaged F1 of ``evalkit.scorer`` over class ids ``0 .. n_classes - 1``."""
+    report = evalkit.scorer(metric, range(n_classes))
+    return lambda preds, golds: report(list(preds), list(golds)).averaged.f1
 
 
 def finetune(
@@ -413,14 +411,15 @@ def finetune(
     history: list[list[float]] = []
     best_scores: list[float] = []
     for phase in schedule.phases:
-        state = net.OptimizerState.for_params(params, lr=lr)
+        freeze = net.FreezeMask(phase.trainable)
+        trainable = params.layer_names(*freeze.trainable)
+        state = net.OptimizerState.for_params(params, freeze, lr)
         phase_history: list[float] = []
         best_metric = -np.inf
         best_snapshot = None
         for epoch in range(phase.max_epochs):
             mean_loss = _run_epoch(
-                params, state, train, net.FreezeMask(phase.trainable),
-                batch_size, rng, dropout, max_len,
+                params, state, train, freeze, batch_size, rng, dropout, max_len,
             )
             preds = predict_dataset(params, validation, max_len=max_len)
             value = score(preds, validation.labels)
@@ -434,10 +433,7 @@ def finetune(
                 best_metric = value
                 # Frozen groups cannot change within a phase, so only the
                 # trainable arrays need a copy.
-                best_snapshot = {
-                    n: a.copy() for n, a in params.arrays.items()
-                    if net.layer_of(n) in phase.trainable
-                }
+                best_snapshot = {n: params.arrays[n].copy() for n in trainable}
         if phase.select_best and best_snapshot is not None:
             params.arrays.update(best_snapshot)
         history.append(phase_history)

@@ -101,6 +101,19 @@ class TestLabeledIo:
         save_labeled(load_labeled(str(a)), str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_round_trip_keeps_non_newline_line_breaks(self, char, tmp_path):
+        """Only newline ends a record; other str.splitlines breaks are text."""
+        tweets = [
+            LabeledTweet("1", f"vor{char}nach", "offense", "insult"),
+            LabeledTweet("2", char, "other", "other"),
+        ]
+        path = tmp_path / "t.tsv"
+        save_labeled(tweets, str(path))
+        assert load_labeled(str(path)) == tweets
+
     def test_ids_are_line_numbers(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("hallo\tother\tother\nmist\toffense\tabuse\n", encoding="utf-8")

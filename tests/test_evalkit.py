@@ -9,6 +9,7 @@ from tweetxfer.evalkit import (
     error_report,
     format_report,
     macro_metrics,
+    scorer,
 )
 
 
@@ -113,6 +114,27 @@ class TestMacroMetrics:
             macro_metrics([0], [0], classes=[0, 0])
         with pytest.raises(ValueError):
             macro_metrics([0], [0], classes=[])
+
+
+class TestScorer:
+    def test_binary_scores_the_first_label(self):
+        preds, golds = ["b", "a", "a", "b"], ["a", "a", "b", "b"]
+        assert scorer("binary_f1", ("a", "b"))(preds, golds) == binary_metrics(
+            preds, golds, positive="a"
+        )
+        assert scorer("binary_f1", range(2))([1, 0], [0, 0]) == binary_metrics(
+            [1, 0], [0, 0], positive=0
+        )
+
+    def test_macro_averages_over_every_label(self):
+        preds, golds = [0, 1, 1], [0, 1, 0]
+        assert scorer("macro_f1", range(3))(preds, golds) == macro_metrics(
+            preds, golds, classes=[0, 1, 2]
+        )
+
+    def test_unknown_metric_rejected_when_created(self):
+        with pytest.raises(ValueError, match="accuracy"):
+            scorer("accuracy", ("a", "b"))
 
 
 class TestAggregateRuns:

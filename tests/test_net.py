@@ -372,15 +372,14 @@ class TestGradients:
             assert err < 1e-4, f"layer {layer}"
 
     def test_frozen_layers_get_zero_gradients(self):
+        """Frozen arrays get no gradient at all: only the head's come back."""
         params = _small_params()
         batch = _small_batch()
         probs, cache = forward(params, batch, mode="train", dropout_seed=0)
         grads = backward(params, batch, cache, freeze=FreezeMask.of(4))
+        assert set(grads) == set(params.layer_names(4))
         for name, g in grads.items():
-            if layer_of(name) == 4:
-                assert np.any(g != 0.0), name
-            else:
-                np.testing.assert_array_equal(g, 0.0)
+            assert np.any(g != 0.0), name
 
     def test_stale_cache_rejected(self):
         params = _small_params()
@@ -465,6 +464,20 @@ class TestOptimizer:
         assert after[2] != before[2]
         for layer in (1, 3, 4):
             assert after[layer] == before[layer]
+
+    def test_moments_only_for_trainable_arrays(self):
+        params = _small_params()
+        head = OptimizerState.for_params(params, FreezeMask.of(4), lr=0.01)
+        assert list(head.m) == list(head.v) == ["out_W", "out_b"]
+        assert head.lr == 0.01
+        full = OptimizerState.for_params(params)
+        assert list(full.m) == list(full.v) == list(params.arrays)
+
+    def test_layer_names_of_several_groups(self):
+        params = _small_params()
+        assert params.layer_names(4, 3) == ["dense_W", "dense_b", "out_W", "out_b"]
+        assert params.layer_names(*ALL_LAYERS.trainable) == list(params.arrays)
+        assert params.layer_names() == []
 
     def test_updates_happen_in_place(self):
         params = _small_params()

@@ -392,6 +392,34 @@ class TestFinetune:
         for layer in (1, 2, 3):
             assert after[layer] == before[layer]
 
+    def test_optimizer_moments_cover_the_trainable_arrays_only(self, monkeypatch):
+        """Pretraining keeps moments for every array, a head-only phase for
+        ``out_W`` and ``out_b`` alone; backward returns the same arrays."""
+        seen = []
+        real_step = net.step
+
+        def spy(params, grads, state, freeze=net.ALL_LAYERS):
+            seen.append((set(freeze.trainable), list(state.m), list(state.v), list(grads)))
+            return real_step(params, grads, state, freeze)
+
+        monkeypatch.setattr(net, "step", spy)
+        params = pretrain(
+            _tiny_task(), _table(), cluster_width=0, epochs=1, batch_size=8,
+            params=_tiny_params(2, 0, 12),
+        )
+        assert seen
+        for trainable, m, v, grads in seen:
+            assert trainable == {1, 2, 3, 4}
+            assert m == v == grads == list(params.arrays)
+        seen.clear()
+        train, valid = self._datasets(seed=7)
+        finetune(params, make_schedule("bu", 1), train, valid, seed=0, batch_size=8)
+        assert {4} in [trainable for trainable, *_ in seen]
+        for trainable, m, v, grads in seen:
+            assert m == v == grads == params.layer_names(*trainable)
+            if trainable == {4}:
+                assert m == ["out_W", "out_b"]
+
     def test_best_keeping_phase_leaves_frozen_arrays_in_place(self):
         """Only trainable arrays are snapshotted and restored, so frozen
         ones come back as the very same objects."""

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for usage problems (bad flags, missing
 arguments), 2 for data problems (unreadable or malformed files, values
-out of range).  All randomness flows from --seed / the config file, so
+out of range), 3 when training diverges (a non-finite loss, gradient
+or weight).  All randomness flows from --seed / the config file, so
 reruns with the same inputs and BLAS thread count produce identical
 artifacts.
 """
@@ -16,7 +17,7 @@ import sys
 
 from . import baseline, corpus, embed, evalkit, fixtures, lda, net, textprep, transfer
 from .config import RunConfig, load_config
-from .errors import DataError
+from .errors import DataError, TrainingError
 
 
 class UsageError(Exception):
@@ -429,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:  # DataError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except TrainingError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

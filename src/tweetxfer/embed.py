@@ -5,7 +5,8 @@ fastText-style: the word is wrapped in angle brackets, its character
 n-grams are hashed into a fixed bucket table, and the bucket vectors are
 averaged.  Bucket vectors are generated lazily from (seed, bucket index)
 so the table costs nothing until a bucket is touched and is identical no
-matter which bucket is asked for first.
+matter which bucket is asked for first.  Each unknown word's vector is
+computed once per table and cached, read-only, for its later occurrences.
 """
 
 from __future__ import annotations
@@ -65,12 +66,17 @@ class EmbeddingTable:
     n_max: int = 6
     seed: int = 0
     _bucket_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _oov_cache: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.buckets < 1:
             raise ValueError(f"buckets must be positive, got {self.buckets}")
+        if self.n_min < 1 or self.n_max < self.n_min:
+            raise ValueError(f"bad n-gram range ({self.n_min}, {self.n_max})")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def bucket_vector(self, index: int) -> np.ndarray:
         vec = self._bucket_cache.get(index)
@@ -83,16 +89,25 @@ class EmbeddingTable:
         return vec
 
     def embed_token(self, token: str) -> np.ndarray:
-        """Vector for ``token``: table lookup, else mean of n-gram buckets."""
+        """Vector for ``token``: table lookup, else mean of n-gram buckets.
+
+        The mean is computed on a token's first lookup and cached, so at
+        most one read-only vector is held per distinct unknown token.
+        """
         vec = self.word_vectors.get(token)
         if vec is not None:
             return vec
+        vec = self._oov_cache.get(token)
+        if vec is not None:
+            return vec
         grams = char_ngrams(token, self.n_min, self.n_max)
-        out = np.zeros(self.dim)
+        vec = np.zeros(self.dim)
         for gram in grams:
-            out += self.bucket_vector(fnv1a64(gram.encode("utf-8")) % self.buckets)
-        out /= len(grams)
-        return out
+            vec += self.bucket_vector(fnv1a64(gram.encode("utf-8")) % self.buckets)
+        vec /= len(grams)
+        vec.flags.writeable = False
+        self._oov_cache[token] = vec
+        return vec
 
     def embed_tokens(self, tokens: tuple[str, ...] | list[str]) -> np.ndarray:
         """Stack of per-token vectors, shape (len(tokens), dim)."""

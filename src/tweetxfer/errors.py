@@ -8,6 +8,14 @@ class DataError(ValueError):
     """
 
 
+class TrainingError(Exception):
+    """Training diverged: a loss, gradient or weight stopped being finite.
+
+    Not a ValueError, since the inputs may be fine; the CLI maps it to
+    exit code 3.
+    """
+
+
 NUMBER = (int, float)  # JSON numbers; ``require`` rejects ``true`` as one
 
 

@@ -11,6 +11,7 @@ placeholders are kept atomic even though ``<`` and ``>`` are punctuation.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from collections.abc import Iterator
@@ -62,6 +63,7 @@ def is_emoji_char(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
 
 
+@functools.cache  # a pure function of one character, so bounded by the alphabet
 def _char_class(ch: str) -> str:
     if ch.isspace():
         return _CLS_SPACE
@@ -90,6 +92,8 @@ def normalize(text: str) -> str:
 
 
 def _placeholder_at(text: str, i: int) -> str | None:
+    if text[i] != "<":  # every placeholder starts with "<"
+        return None
     for ph in PLACEHOLDERS:
         if text.startswith(ph, i):
             return ph

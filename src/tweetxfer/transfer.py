@@ -19,7 +19,7 @@ import numpy as np
 from . import corpus, evalkit, net, textprep
 from .corpus import LabeledTweet, RawTweet
 from .embed import EmbeddingTable
-from .errors import DataError, require
+from .errors import DataError, TrainingError, require
 from .evalkit import binary_metrics, macro_metrics  # noqa: F401 (perfbench probes them here)
 from .lda import LdaModel, UserClusters, majority_topic
 from .textprep import TokenizedTweet
@@ -234,6 +234,12 @@ def _batch_from(data: EncodedDataset, idx: np.ndarray, max_len: int) -> net.Batc
     )
 
 
+def _require_finite(arrays: dict[str, np.ndarray], message: str) -> None:
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise TrainingError(f"{message} in {name!r} (layer group {net.layer_of(name)})")
+
+
 def _run_epoch(
     params: net.NetworkParams,
     state: net.OptimizerState,
@@ -243,7 +249,15 @@ def _run_epoch(
     rng: np.random.Generator,
     dropout: float,
     max_len: int,
+    where: str,
 ) -> float:
+    """One shuffled pass over ``data``; returns the mean training loss.
+
+    A non-finite loss, gradient or updated weight raises ``TrainingError``
+    prefixed with ``where``, which names the phase and epoch.  The
+    gradient is checked here, not left to ``net.step``, whose check
+    raises the ValueError of a bad argument.
+    """
     order = rng.permutation(len(data))
     total = 0.0
     count = 0
@@ -253,9 +267,14 @@ def _run_epoch(
         probs, cache = net.forward(
             params, batch, mode="train", dropout_seed=dropout_seed, dropout=dropout
         )
+        batch_loss = net.loss(probs, batch.labels)
+        if not np.isfinite(batch_loss):
+            raise TrainingError(f"{where}: non-finite loss")
         grads = net.backward(params, batch, cache, freeze)
+        _require_finite(grads, f"{where}: non-finite gradient")
         net.step(params, grads, state, freeze)
-        total += net.loss(probs, batch.labels) * len(idx)
+        _require_finite({n: params.arrays[n] for n in grads}, f"{where}: non-finite weights")
+        total += batch_loss * len(idx)
         count += len(idx)
         # Free this batch's activations and gradients before the next
         # forward allocates its own, so two batches never coexist.
@@ -296,7 +315,8 @@ def pretrain(
     """Train ``params`` in place on a pre-training task, all layers live.
 
     The head width must equal the task's label space.  Shuffling and
-    dropout descend from ``seed``.
+    dropout descend from ``seed``.  A diverged run raises ``TrainingError``
+    naming the epoch and, for a gradient or weight, the layer group.
     """
     data = encode_task(task, table, cluster_width)
     if params.n_classes != len(task.label_space):
@@ -307,7 +327,8 @@ def pretrain(
     rng = np.random.default_rng([seed, 1])
     for epoch in range(epochs):
         mean_loss = _run_epoch(
-            params, state, data, net.ALL_LAYERS, batch_size, rng, dropout, max_len
+            params, state, data, net.ALL_LAYERS, batch_size, rng, dropout, max_len,
+            where=f"pretrain {task.kind} epoch {epoch + 1}/{epochs}",
         )
         log.info("pretrain %s epoch %d/%d loss %.4f", task.kind, epoch + 1, epochs, mean_loss)
     return params
@@ -402,7 +423,9 @@ def finetune(
 
     The optimizer restarts at each phase.  A best-keeping phase ends by
     restoring the epoch snapshot with the highest validation metric
-    (earliest wins on ties); other phases keep their last state.
+    (earliest wins on ties); other phases keep their last state.  A
+    diverged run raises ``TrainingError`` naming the phase, its groups, the
+    epoch and, for a gradient or weight, the layer group.
     """
     if not len(train) or not len(validation):
         raise DataError("finetuning needs non-empty train and validation sets")
@@ -410,7 +433,7 @@ def finetune(
     rng = np.random.default_rng([seed, 2])
     history: list[list[float]] = []
     best_scores: list[float] = []
-    for phase in schedule.phases:
+    for phase_index, phase in enumerate(schedule.phases, start=1):
         freeze = net.FreezeMask(phase.trainable)
         trainable = params.layer_names(*freeze.trainable)
         state = net.OptimizerState.for_params(params, freeze, lr)
@@ -420,6 +443,10 @@ def finetune(
         for epoch in range(phase.max_epochs):
             mean_loss = _run_epoch(
                 params, state, train, freeze, batch_size, rng, dropout, max_len,
+                where=(
+                    f"finetune {schedule.strategy} phase {phase_index}/{len(schedule.phases)}"
+                    f" (groups {sorted(phase.trainable)}) epoch {epoch + 1}/{phase.max_epochs}"
+                ),
             )
             preds = predict_dataset(params, validation, max_len=max_len)
             value = score(preds, validation.labels)

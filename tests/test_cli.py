@@ -627,6 +627,29 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
 
+    def test_diverged_finetune_is_training_error(self, tmp_path):
+        """A learning rate that blows up the weights exits 3, not as a data error."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_CFG + "lr = 1e300\n", encoding="utf-8")
+        fx, split = tmp_path / "fx", tmp_path / "split"
+        assert _run(["make-fixtures", "--out", str(fx), "--config", str(cfg)])[0] == 0
+        assert _run([
+            "prepare", "--labeled", str(fx / "labeled.tsv"), "--out", str(split),
+            "--config", str(cfg),
+        ])[0] == 0
+        with np.errstate(all="ignore"):
+            code, _, err = _run([
+                "finetune", "--ckpt", "none", "--strategy", "bu", "--task", "coarse",
+                "--train", str(split / "train.tsv"), "--valid", str(split / "valid.tsv"),
+                "--config", str(cfg), "--out", str(tmp_path / "ft.ckpt"),
+            ])
+        assert code == 3
+        assert err == (
+            "training error: finetune bu phase 2/5 (groups [1]) epoch 1/2: "
+            "non-finite weights in 'lstm_fw_W' (layer group 1)\n"
+        )
+        assert not (tmp_path / "ft.ckpt").exists()
+
     def test_bad_config_value_is_data_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("dropout = 2.0\n", encoding="utf-8")

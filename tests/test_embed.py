@@ -179,6 +179,44 @@ class TestEmbedToken:
         table = EmbeddingTable(dim=8, word_vectors={})
         assert table.embed_tokens([]).shape == (0, 8)
 
+    def test_oov_vector_is_read_only(self):
+        table = EmbeddingTable(dim=8, word_vectors={}, seed=0)
+        vec = table.embed_token("unbekannt")
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+
+    def test_repeated_tokens_match_fresh_per_token_lookups(self):
+        """A table reused across calls and repeats returns, bit for bit,
+        what a fresh table computes token by token; a second pass over
+        the same tokens draws no new buckets."""
+        vectors = word_vector_table(["der", "zug"], dim=10, seed=4)
+        tokens = ["der", "verspätung", "zug", "verspätung", "x", "der", "x", "<user>"] * 2
+        table = EmbeddingTable(dim=10, word_vectors=vectors, seed=6)
+        first = table.embed_tokens(tokens)
+        buckets = set(table._bucket_cache)
+        second = table.embed_tokens(tokens)
+        assert set(table._bucket_cache) == buckets
+        assert set(table._oov_cache) == {"verspätung", "x", "<user>"}
+        for tok, a, b in zip(tokens, first, second):
+            fresh = EmbeddingTable(dim=10, word_vectors=vectors, seed=6).embed_token(tok)
+            assert a.tobytes() == b.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"dim": 0}, "dim"),
+        ({"buckets": 0}, "buckets"),
+        ({"n_min": 0}, "n-gram range"),
+        ({"n_min": 5, "n_max": 3}, "n-gram range"),
+        ({"seed": -1}, "seed"),
+    ],
+    ids=["dim", "buckets", "n_min", "n_max_below_n_min", "seed"],
+)
+def test_bad_table_settings_rejected_at_construction(settings, message):
+    with pytest.raises(ValueError, match=message):
+        EmbeddingTable(**{"dim": 4, "word_vectors": {}, **settings})
+
 
 class TestLoadVectors:
     def test_round_trip_with_fixture(self, tmp_path):

@@ -1,6 +1,10 @@
-import numpy as np
+import hashlib
+import os
 
-from tweetxfer import textprep
+import numpy as np
+import pytest
+
+from tweetxfer import corpus, fixtures, textprep
 from tweetxfer.textprep import (
     URL_TOKEN,
     USER_TOKEN,
@@ -108,6 +112,53 @@ class TestTokenize:
                 }
                 assert len(kinds) == 1, tok
                 assert not tok[0].isspace()
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("a<user>b", ("a", USER_TOKEN, "b")),
+            ("<<url>", ("<", URL_TOKEN)),
+            ("<use", ("<", "use")),
+            ("x<url", ("x", "<", "url")),
+            ("ab<", ("ab", "<")),
+            ("<", ("<",)),
+            ("<user><url>", (USER_TOKEN, URL_TOKEN)),
+            (
+                "\U0001F468\u200d\U0001F469\u200d\U0001F467x",
+                ("\U0001F468\u200d\U0001F469\u200d\U0001F467", "x"),
+            ),
+            ("hi \U0001F44D\U0001F3FD!", ("hi", "\U0001F44D\U0001F3FD", "!")),
+            ("\u200d", ("\u200d",)),
+            ("e\u0301te", ("e\u0301te",)),
+            ("\u0301a", ("\u0301a",)),
+            ("abc123def 4567", ("abc", "123", "def", "4567")),
+            ("\u0663\u06645", ("\u0663\u06645",)),
+            ("\u00b2x", ("\u00b2", "x")),
+        ],
+    )
+    def test_edge_cases(self, text, tokens):
+        assert tokenize(text).tokens == tokens
+
+    def test_fixture_corpora_digest(self, tmp_path):
+        """Pins every token of the make-fixtures raw and labeled corpora,
+        tokenized as written and after ``normalize``."""
+        fixtures.write_all(str(tmp_path))
+        texts = []
+        for name in ("topic_tweets", "mention_tweets", "dedup_tweets", "emoji_tweets"):
+            texts += [t.text for t in corpus.load_raw(os.path.join(tmp_path, f"{name}.jsonl"))]
+        for name in ("labeled", "separable"):
+            texts += [t.text for t in corpus.load_labeled(os.path.join(tmp_path, f"{name}.tsv"))]
+        digest = hashlib.sha256()
+        count = 0
+        for text in texts:
+            for variant in (text, normalize(text)):
+                tokens = tokenize(variant).tokens
+                count += len(tokens)
+                digest.update("\x1f".join(tokens).encode("utf-8") + b"\x1e")
+        assert (len(texts), count) == (2584, 40557)
+        assert digest.hexdigest() == (
+            "e8fa2e6c0fba99c6882d27aee72a5a548702fd84a6da70a51ae491538004245a"
+        )
 
 
 class TestEmojiHelpers:

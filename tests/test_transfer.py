@@ -6,7 +6,7 @@ import pytest
 from tweetxfer import lda, net, textprep, transfer
 from tweetxfer.corpus import RawTweet
 from tweetxfer.embed import EmbeddingTable
-from tweetxfer.errors import DataError
+from tweetxfer.errors import DataError, TrainingError
 from tweetxfer.fixtures import (
     comment_records,
     emoji_tweets,
@@ -419,6 +419,38 @@ class TestFinetune:
             assert m == v == grads == params.layer_names(*trainable)
             if trainable == {4}:
                 assert m == ["out_W", "out_b"]
+
+    def test_divergence_is_a_training_error(self):
+        """A diverged run names its phase, groups, epoch and layer group,
+        and is not mistaken for bad data (a ValueError)."""
+        assert not issubclass(TrainingError, ValueError)
+        train, valid = self._datasets()
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as exc:
+            finetune(_tiny_params(2, 0, 4), make_schedule("bu", 2), train, valid,
+                     seed=0, batch_size=8, lr=1e300)
+        assert str(exc.value) == (
+            "finetune bu phase 2/5 (groups [1]) epoch 1/2: "
+            "non-finite weights in 'lstm_fw_W' (layer group 1)"
+        )
+        params = _tiny_params(2, 0, 4)
+        params.arrays["out_W"][0, 0] = np.nan
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as exc:
+            finetune(params, make_schedule("tu", 1), train, valid, seed=0, batch_size=8)
+        assert str(exc.value) == "finetune tu phase 1/5 (groups [4]) epoch 1/1: non-finite loss"
+
+    def test_non_finite_gradient_is_a_training_error(self, monkeypatch):
+        real_backward = net.backward
+
+        def poisoned(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            grads["dense_b"][0] = np.inf
+            return grads
+
+        monkeypatch.setattr(net, "backward", poisoned)
+        params = _tiny_params(2, 0, 4)
+        with pytest.raises(TrainingError, match=r"^pretrain topic epoch 1/2: non-finite "
+                           r"gradient in 'dense_b' \(layer group 3\)$"):
+            pretrain(_tiny_task(), _table(), cluster_width=0, epochs=2, params=params)
 
     def test_best_keeping_phase_leaves_frozen_arrays_in_place(self):
         """Only trainable arrays are snapshotted and restored, so frozen

@@ -14,6 +14,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from . import baseline, corpus, embed, evalkit, fixtures, lda, net, textprep, transfer
 from .config import RunConfig, load_config
@@ -37,9 +38,11 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
-def _config(args: argparse.Namespace, **overrides) -> RunConfig:
-    overrides["seed"] = getattr(args, "seed", None)
-    return load_config(getattr(args, "config", None), overrides=overrides)
+def _config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then ``--config``, then every flag whose dest is a ``RunConfig`` key."""
+    keys = {f.name for f in fields(RunConfig)}
+    overrides = {key: value for key, value in vars(args).items() if key in keys}
+    return load_config(args.config, overrides=overrides)
 
 
 def _load_table(path: str | None, cfg: RunConfig) -> embed.EmbeddingTable:
@@ -74,7 +77,7 @@ def _report(task: str, preds: list[str], golds: list[str]) -> evalkit.MetricsRep
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
-    cfg = _config(args, tail=args.tail)
+    cfg = _config(args)
     tweets = corpus.load_labeled(args.labeled)
     split = corpus.split_tail(list(tweets), cfg.tail)
     os.makedirs(args.out, exist_ok=True)
@@ -88,10 +91,7 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def _cmd_lda_train(args: argparse.Namespace) -> int:
-    cfg = _config(
-        args, k_topics=args.k, lda_iterations=args.iters,
-        lda_alpha=args.alpha, lda_beta=args.beta,
-    )
+    cfg = _config(args)
     docs = corpus.load_token_lines(args.corpus)
     if not docs:
         raise DataError(f"{args.corpus}: no documents")
@@ -108,10 +108,7 @@ def _cmd_lda_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_users(args: argparse.Namespace) -> int:
-    cfg = _config(
-        args, k_users=args.k, lda_iterations=args.iters,
-        min_mentions=args.min_mentions, min_user_freq=args.min_user_freq,
-    )
+    cfg = _config(args)
     if args.raw:
         tweets = corpus.deduplicate(corpus.load_raw(args.raw))
         lists = corpus.extract_mention_lists(
@@ -131,7 +128,7 @@ def _cmd_cluster_users(args: argparse.Namespace) -> int:
 
 
 def _cmd_pretrain(args: argparse.Namespace) -> int:
-    cfg = _config(args, pretrain_epochs=args.epochs, pretrain_batch=args.batch)
+    cfg = _config(args)
     table = _load_table(args.vectors, cfg)
     if args.task == "category":
         task = transfer.build_category_task(transfer.load_comments(args.corpus))
@@ -174,7 +171,7 @@ def _check_compat(params: net.NetworkParams, table: embed.EmbeddingTable, width:
 
 
 def _cmd_finetune(args: argparse.Namespace) -> int:
-    cfg = _config(args, finetune_epochs=args.epochs, finetune_batch=args.batch)
+    cfg = _config(args)
     table = _load_table(args.vectors, cfg)
     clusters = lda.load_clusters(args.clusters) if args.clusters else None
     width = clusters.k + 1 if clusters else cfg.k_users + 1
@@ -206,17 +203,12 @@ def _cmd_finetune(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    if args.runs is not None and args.runs != len(args.ckpt):
-        raise UsageError(
-            f"--runs {args.runs} disagrees with {len(args.ckpt)} checkpoint paths"
-        )
     table = _load_table(args.vectors, cfg)
     clusters = lda.load_clusters(args.clusters) if args.clusters else None
     data = corpus.load_labeled(args.data)
     names = corpus.TASK_LABELS[args.task]
-    reports = []
-    first_preds: list[str] | None = None
-    first_golds: list[str] = []
+    golds = [getattr(t, args.task) for t in data]
+    run_preds: list[list[str]] = []
     # The encoding depends on the checkpoint only through its cluster width.
     encoded_by_width: dict[int, transfer.EncodedDataset] = {}
     for path in args.ckpt:
@@ -226,36 +218,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 f"{path}: checkpoint has {params.n_classes} classes, "
                 f"task {args.task} needs {len(names)}"
             )
-        width = params.cluster_width
-        if clusters is not None and clusters.k + 1 != width:
-            raise DataError(
-                f"{path}: checkpoint cluster width {width} does not fit "
-                f"k={clusters.k} clusters"
-            )
+        width = clusters.k + 1 if clusters else params.cluster_width
         _check_compat(params, table, width)
         if width not in encoded_by_width:
             encoded_by_width[width] = transfer.encode_labeled(
                 data, args.task, table, clusters, width
             )
-        encoded = encoded_by_width[width]
-        preds = transfer.predict_dataset(params, encoded, max_len=cfg.max_len)
-        pred_names = [names[p] for p in preds]
-        gold_names = [names[g] for g in encoded.labels]
-        reports.append(_report(args.task, pred_names, gold_names))
-        if first_preds is None:
-            first_preds = pred_names
-            first_golds = gold_names
-    combined = evalkit.aggregate_runs(reports)
-    text = evalkit.format_report(combined, runs=len(reports))
+        preds = transfer.predict_dataset(params, encoded_by_width[width], max_len=cfg.max_len)
+        run_preds.append([names[p] for p in preds])
+    reports = [_report(args.task, preds, golds) for preds in run_preds]
+    text = evalkit.format_report(evalkit.aggregate_runs(reports), runs=len(reports))
     sys.stdout.write(text)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.errors:
         # Error listing comes from the first checkpoint's predictions.
+        first = run_preds[0]
         errs = evalkit.error_report(
-            first_preds, first_golds,
-            [(t.text, g, p) for t, g, p in zip(data, first_golds, first_preds)],
+            first, golds, [(t.text, g, p) for t, g, p in zip(data, golds, first)],
             positive=names[0],
         )
         with open(args.errors, "w", encoding="utf-8") as fh:
@@ -269,9 +250,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    cfg = _config(
-        args, baseline_l2=args.l2, baseline_epochs=args.epochs, baseline_lr=args.lr
-    )
+    cfg = _config(args)
     table = _load_table(args.vectors, cfg)
     train = corpus.load_labeled(args.train)
     valid = corpus.load_labeled(args.valid)
@@ -326,16 +305,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("prepare", parents=[common], help="split labeled data")
     p.add_argument("--labeled", required=True)
     p.add_argument("--out", required=True, help="directory for train.tsv / valid.tsv")
-    p.add_argument("--tail", type=int, help="validation size, taken from the end")
+    p.add_argument("--tail", type=int, dest="tail", help="validation size, taken from the end")
     p.add_argument("--tokenized", help="also write a tokenized corpus file")
     p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser("lda-train", parents=[common], help="train the topic model")
     p.add_argument("--corpus", required=True, help="tokenized corpus, one doc per line")
-    p.add_argument("--k", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--k", type=int, dest="k_topics")
+    p.add_argument("--iters", type=int, dest="lda_iterations")
+    p.add_argument("--alpha", type=float, dest="lda_alpha")
+    p.add_argument("--beta", type=float, dest="lda_beta")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lda_train)
 
@@ -343,8 +322,8 @@ def _build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--mentions", help="mention lists, one space-joined list per line")
     src.add_argument("--raw", help="raw tweets JSONL; lists are extracted first")
-    p.add_argument("--k", type=int)
-    p.add_argument("--iters", type=int)
+    p.add_argument("--k", type=int, dest="k_users")
+    p.add_argument("--iters", type=int, dest="lda_iterations")
     p.add_argument("--min-mentions", type=int, dest="min_mentions")
     p.add_argument("--min-user-freq", type=int, dest="min_user_freq")
     p.add_argument("--out", required=True)
@@ -355,8 +334,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--lda", help="topic model (topic task only)")
     p.add_argument("--vectors")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--epochs", type=int, dest="pretrain_epochs")
+    p.add_argument("--batch", type=int, dest="pretrain_batch")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_pretrain)
 
@@ -368,8 +347,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--valid", required=True)
     p.add_argument("--clusters")
     p.add_argument("--vectors")
-    p.add_argument("--epochs", type=int, help="per-phase epoch budget")
-    p.add_argument("--batch", type=int)
+    p.add_argument("--epochs", type=int, dest="finetune_epochs", help="per-phase epoch budget")
+    p.add_argument("--batch", type=int, dest="finetune_batch")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_finetune)
 
@@ -379,7 +358,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--task", required=True, choices=tuple(corpus.TASK_LABELS))
     p.add_argument("--clusters")
     p.add_argument("--vectors")
-    p.add_argument("--runs", type=int, help="must equal the checkpoint count")
     p.add_argument("--report", help="write the table here as well")
     p.add_argument("--errors", help="write misclassified tweets here")
     p.set_defaults(func=_cmd_evaluate)
@@ -389,9 +367,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--valid", required=True)
     p.add_argument("--task", required=True, choices=tuple(corpus.TASK_LABELS))
     p.add_argument("--vectors")
-    p.add_argument("--l2", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--l2", type=float, dest="baseline_l2")
+    p.add_argument("--epochs", type=int, dest="baseline_epochs")
+    p.add_argument("--lr", type=float, dest="baseline_lr")
     p.add_argument("--top-terms", type=int, dest="top_terms", help="print N top tokens per class")
     p.set_defaults(func=_cmd_baseline)
 

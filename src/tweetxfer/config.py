@@ -12,6 +12,7 @@ fixed module constants, not config keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import DataError
@@ -71,6 +72,9 @@ _UNIT_FLOAT = ("dropout",)
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    for name in _POSITIVE_FLOAT + _NON_NEGATIVE_FLOAT + _UNIT_FLOAT:
+        if not math.isfinite(getattr(cfg, name)):
+            raise DataError(f"config {name} must be finite")
     for name in _POSITIVE_INT:
         if getattr(cfg, name) < 1:
             raise DataError(f"config {name} must be a positive integer")

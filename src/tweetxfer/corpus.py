@@ -9,6 +9,7 @@ tweets live in JSON-lines files with at least ``id`` and ``text`` keys.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -67,21 +68,12 @@ def escape_text(text: str) -> str:
 
 
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPED = re.compile(r"\\([\\tnr])")
 
 
 def unescape_text(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n and text[i + 1] in _UNESCAPE:
-            out.append(_UNESCAPE[text[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Undo ``escape_text``; a backslash before any other character is kept."""
+    return _ESCAPED.sub(lambda m: _UNESCAPE[m.group(1)], text)
 
 
 def load_labeled(path: str) -> list[LabeledTweet]:

@@ -140,8 +140,8 @@ def train_gibbs(
         raise DataError("every document must have at least one token")
     if alpha is None:
         alpha = 10.0 / k
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    if not (0 < alpha < np.inf and 0 < beta < np.inf):
+        raise ValueError("alpha and beta must be positive and finite")
 
     vocab: dict[str, int] = {}
     for doc in docs:

@@ -29,6 +29,9 @@ log = logging.getLogger(__name__)
 STRATEGIES = ("none", "gu", "bu", "tu")
 # Group order of the strategies that train one layer group per phase.
 _ONE_GROUP_ORDER = {"bu": (4, 1, 2, 3), "tu": (4, 3, 2, 1)}
+# Topic labelling skips tweets with fewer meaningful tokens than this:
+# a topic inferred from one token is noise.
+MIN_TOPIC_TOKENS = 2
 
 
 @dataclass(frozen=True)
@@ -127,19 +130,17 @@ def build_topic_task(
     model: LdaModel,
     stopwords: frozenset[str],
     infer_iterations: int = 50,
-    min_tokens: int = 2,
     seed: int = 0,
 ) -> PretrainTask:
     """Label tweets with their majority LDA topic.
 
-    Tweets with fewer than ``min_tokens`` meaningful tokens are skipped:
-    a topic inferred from one token is noise.
+    Tweets with fewer than ``MIN_TOPIC_TOKENS`` meaningful tokens are skipped.
     """
     examples = []
     for t in tweets:
         tokens = tokenize_text(t.text, t.id)
         meaningful = textprep.meaningful_tokens(tokens, stopwords)
-        if len(meaningful) < min_tokens:
+        if len(meaningful) < MIN_TOPIC_TOKENS:
             continue
         label = majority_topic(model, meaningful, iterations=infer_iterations, seed=seed)
         examples.append((tokens, label))
@@ -253,32 +254,37 @@ def _run_epoch(
 ) -> float:
     """One shuffled pass over ``data``; returns the mean training loss.
 
-    A non-finite loss, gradient or updated weight raises ``TrainingError``
-    prefixed with ``where``, which names the phase and epoch.  The
-    gradient is checked here, not left to ``net.step``, whose check
-    raises the ValueError of a bad argument.
+    A non-finite loss, gradient, updated weight or Nadam second moment
+    raises ``TrainingError`` prefixed with ``where``, which names the
+    phase and epoch.  An infinite second moment would silently stop its
+    element's updates for good.  The gradient is checked here, not left
+    to ``net.step``, whose check raises the ValueError of a bad argument.
+    These checks report what numpy's overflow and invalid-value warnings
+    would announce, so the warnings are silenced.
     """
     order = rng.permutation(len(data))
     total = 0.0
     count = 0
-    for idx in _batches(len(data), batch_size, order):
-        batch = _batch_from(data, idx, max_len)
-        dropout_seed = int(rng.integers(0, 2**63))
-        probs, cache = net.forward(
-            params, batch, mode="train", dropout_seed=dropout_seed, dropout=dropout
-        )
-        batch_loss = net.loss(probs, batch.labels)
-        if not np.isfinite(batch_loss):
-            raise TrainingError(f"{where}: non-finite loss")
-        grads = net.backward(params, batch, cache, freeze)
-        _require_finite(grads, f"{where}: non-finite gradient")
-        net.step(params, grads, state, freeze)
-        _require_finite({n: params.arrays[n] for n in grads}, f"{where}: non-finite weights")
-        total += batch_loss * len(idx)
-        count += len(idx)
-        # Free this batch's activations and gradients before the next
-        # forward allocates its own, so two batches never coexist.
-        del batch, probs, cache, grads
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in _batches(len(data), batch_size, order):
+            batch = _batch_from(data, idx, max_len)
+            dropout_seed = int(rng.integers(0, 2**63))
+            probs, cache = net.forward(
+                params, batch, mode="train", dropout_seed=dropout_seed, dropout=dropout
+            )
+            batch_loss = net.loss(probs, batch.labels)
+            if not np.isfinite(batch_loss):
+                raise TrainingError(f"{where}: non-finite loss")
+            grads = net.backward(params, batch, cache, freeze)
+            _require_finite(grads, f"{where}: non-finite gradient")
+            net.step(params, grads, state, freeze)
+            _require_finite({n: params.arrays[n] for n in grads}, f"{where}: non-finite weights")
+            _require_finite({n: state.v[n] for n in grads}, f"{where}: non-finite second moment")
+            total += batch_loss * len(idx)
+            count += len(idx)
+            # Free this batch's activations and gradients before the next
+            # forward allocates its own, so two batches never coexist.
+            del batch, probs, cache, grads
     return total / count
 
 

@@ -1,16 +1,19 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from tweetxfer import corpus, evalkit, lda, net, transfer
-from tweetxfer.cli import _load_table, _report, main
-from tweetxfer.config import load_config
+from tweetxfer.cli import _build_parser, _config, _load_table, _report, main
+from tweetxfer.config import RunConfig, load_config
 from tweetxfer.fixtures import (
     clique_mentions,
     comment_records,
@@ -358,18 +361,10 @@ class TestEvaluateCli:
         code, stdout, _ = _run([
             "evaluate", "--ckpt", trained["ft"], trained["ft"],
             "--data", trained["valid"], "--task", "coarse",
-            "--config", ws["cfg"], "--runs", "2",
+            "--config", ws["cfg"],
         ])
         assert code == 0
         assert "runs 2" in stdout
-
-    def test_runs_mismatch_is_usage_error(self, ws, trained):
-        code, _, err = _run([
-            "evaluate", "--ckpt", trained["ft"], "--data", trained["valid"],
-            "--task", "coarse", "--config", ws["cfg"], "--runs", "3",
-        ])
-        assert code == 1
-        assert "disagrees" in err
 
     def test_errors_file(self, ws, trained, tmp_path):
         errs = tmp_path / "errors.tsv"
@@ -458,6 +453,20 @@ class TestEvaluateCli:
         ])
         assert code == 2
         assert ft_err == err
+
+    def test_clusters_that_do_not_fit_the_checkpoint(self, ws, trained, tmp_path):
+        clusters = tmp_path / "clusters4.tsv"
+        code, _, _ = _run([
+            "cluster-users", "--mentions", ws["mentions"], "--k", "4",
+            "--iters", "5", "--out", str(clusters),
+        ])
+        assert code == 0
+        code, stdout, err = _run([
+            "evaluate", "--ckpt", trained["ft"], "--data", trained["valid"],
+            "--task", "coarse", "--config", ws["cfg"], "--clusters", str(clusters),
+        ])
+        assert code == 2 and stdout == ""
+        assert err == "data error: checkpoint has cluster width 3, run would use 5\n"
 
     def test_task_head_mismatch(self, ws, trained, tmp_path):
         code, _, err = _run([
@@ -627,8 +636,13 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
 
-    def test_diverged_finetune_is_training_error(self, tmp_path):
-        """A learning rate that blows up the weights exits 3, not as a data error."""
+    _DIVERGED = (
+        "training error: finetune bu phase 2/5 (groups [1]) epoch 1/2: "
+        "non-finite weights in 'lstm_fw_W' (layer group 1)\n"
+    )
+
+    def _diverging_finetune(self, tmp_path) -> list[str]:
+        """Finetune argv whose ``lr = 1e300`` blows up the weights."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(_CFG + "lr = 1e300\n", encoding="utf-8")
         fx, split = tmp_path / "fx", tmp_path / "split"
@@ -637,21 +651,132 @@ class TestExitCodes:
             "prepare", "--labeled", str(fx / "labeled.tsv"), "--out", str(split),
             "--config", str(cfg),
         ])[0] == 0
+        return [
+            "finetune", "--ckpt", "none", "--strategy", "bu", "--task", "coarse",
+            "--train", str(split / "train.tsv"), "--valid", str(split / "valid.tsv"),
+            "--config", str(cfg), "--out", str(tmp_path / "ft.ckpt"),
+        ]
+
+    def test_diverged_finetune_is_training_error(self, tmp_path):
+        """A learning rate that blows up the weights exits 3, not as a data error."""
+        argv = self._diverging_finetune(tmp_path)
         with np.errstate(all="ignore"):
-            code, _, err = _run([
-                "finetune", "--ckpt", "none", "--strategy", "bu", "--task", "coarse",
-                "--train", str(split / "train.tsv"), "--valid", str(split / "valid.tsv"),
-                "--config", str(cfg), "--out", str(tmp_path / "ft.ckpt"),
-            ])
+            code, _, err = _run(argv)
         assert code == 3
-        assert err == (
-            "training error: finetune bu phase 2/5 (groups [1]) epoch 1/2: "
-            "non-finite weights in 'lstm_fw_W' (layer group 1)\n"
-        )
+        assert err == self._DIVERGED
         assert not (tmp_path / "ft.ckpt").exists()
+
+    def test_diverged_finetune_prints_only_the_error(self, tmp_path):
+        """No numpy overflow warning reaches stderr ahead of the one line.
+
+        Run in a fresh interpreter: in-process, pytest would record the
+        warnings instead of letting them print.
+        """
+        argv = self._diverging_finetune(tmp_path)
+        src = str(pathlib.Path(corpus.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = "import sys\nfrom tweetxfer.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == self._DIVERGED
 
     def test_bad_config_value_is_data_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("dropout = 2.0\n", encoding="utf-8")
         code, _, _ = _run(["gradcheck", "--config", str(cfg)])
         assert code == 2
+
+
+# The command line needs these to parse; none of them is a config key.
+_REQUIRED = {
+    "prepare": ["--labeled", "x", "--out", "x"],
+    "lda-train": ["--corpus", "x", "--out", "x"],
+    "cluster-users": ["--mentions", "x", "--out", "x"],
+    "pretrain": ["--task", "category", "--corpus", "x", "--out", "x"],
+    "finetune": [
+        "--ckpt", "none", "--strategy", "bu", "--task", "coarse",
+        "--train", "x", "--valid", "x", "--out", "x",
+    ],
+    "baseline": ["--train", "x", "--valid", "x", "--task", "coarse"],
+    "gradcheck": [],
+}
+
+
+class TestOverrideFlags:
+    @pytest.mark.parametrize(
+        "command,flag,key,value",
+        [
+            ("prepare", "--tail", "tail", 7),
+            ("lda-train", "--k", "k_topics", 7),
+            ("lda-train", "--iters", "lda_iterations", 7),
+            ("lda-train", "--alpha", "lda_alpha", 0.5),
+            ("lda-train", "--beta", "lda_beta", 0.5),
+            ("cluster-users", "--k", "k_users", 7),
+            ("cluster-users", "--iters", "lda_iterations", 7),
+            ("cluster-users", "--min-mentions", "min_mentions", 7),
+            ("cluster-users", "--min-user-freq", "min_user_freq", 7),
+            ("pretrain", "--epochs", "pretrain_epochs", 7),
+            ("pretrain", "--batch", "pretrain_batch", 7),
+            ("finetune", "--epochs", "finetune_epochs", 7),
+            ("finetune", "--batch", "finetune_batch", 7),
+            ("baseline", "--l2", "baseline_l2", 0.5),
+            ("baseline", "--epochs", "baseline_epochs", 7),
+            ("baseline", "--lr", "baseline_lr", 0.5),
+            ("gradcheck", "--seed", "seed", 7),
+        ],
+    )
+    def test_flag_sets_its_config_key_only(self, command, flag, key, value):
+        args = _build_parser().parse_args([command, *_REQUIRED[command], flag, str(value)])
+        assert _config(args) == dataclasses.replace(RunConfig(), **{key: value})
+
+    def test_flags_override_the_file_and_unset_flags_keep_it(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k_topics = 9\nlda_beta = 0.5\n", encoding="utf-8")
+        args = _build_parser().parse_args(
+            ["lda-train", *_REQUIRED["lda-train"], "--config", str(cfg), "--k", "3"]
+        )
+        assert _config(args) == dataclasses.replace(RunConfig(), k_topics=3, lda_beta=0.5)
+
+
+class TestNonFiniteConfig:
+    """``nan`` and ``inf`` are data errors for every float key, before any work."""
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--beta", "nan", "lda_beta"), ("--alpha", "inf", "lda_alpha"),
+    ])
+    def test_lda_train_flag(self, ws, tmp_path, flag, value, key):
+        out = tmp_path / "model.json"
+        code, _, err = _run([
+            "lda-train", "--corpus", ws["topic_corpus"], flag, value,
+            "--config", ws["cfg"], "--out", str(out),
+        ])
+        assert code == 2
+        assert err == f"data error: config {key} must be finite\n"
+        assert not out.exists()
+
+    def test_cluster_users_config_file(self, ws, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "clusters.tsv"
+        cfg.write_text(_CFG + "lda_alpha = inf\n", encoding="utf-8")
+        code, _, err = _run([
+            "cluster-users", "--mentions", ws["mentions"], "--config", str(cfg),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert err == "data error: config lda_alpha must be finite\n"
+        assert not out.exists()
+
+    def test_finetune_config_file(self, trained, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "ft.ckpt"
+        cfg.write_text(_CFG + "lr = nan\n", encoding="utf-8")
+        code, _, err = _run([
+            "finetune", "--ckpt", "none", "--strategy", "bu", "--task", "coarse",
+            "--train", trained["train"], "--valid", trained["valid"],
+            "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == 2
+        assert err == "data error: config lr must be finite\n"
+        assert not out.exists()

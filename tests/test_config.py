@@ -146,6 +146,20 @@ class TestValidation:
         with pytest.raises(DataError):
             load_config(overrides={key: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "key", sorted(f.name for f in fields(RunConfig) if f.type == "float")
+    )
+    def test_non_finite_float_rejected_by_name(self, key, value):
+        with pytest.raises(DataError, match=f"^config {key} must be finite$"):
+            load_config(overrides={key: value})
+
+    def test_non_finite_value_in_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lda_alpha = inf\n", encoding="utf-8")
+        with pytest.raises(DataError, match="lda_alpha"):
+            load_config(str(path))
+
     def test_ngram_range_consistency(self):
         with pytest.raises(DataError, match="ngram"):
             load_config(overrides={"ngram_min": 5, "ngram_max": 3})

@@ -24,7 +24,10 @@ from tweetxfer.corpus import (
 )
 from tweetxfer.errors import DataError
 
-_NASTY = ["tab\there", "line\nbreak", "back\\slash", "cr\rhere", "\t\n\\\r", "plain"]
+_NASTY = [
+    "tab\there", "line\nbreak", "back\\slash", "cr\rhere", "\t\n\\\r", "plain",
+    "trailing\\", "\\\\n",
+]
 
 
 def _random_nasty(rng: np.random.Generator) -> str:
@@ -39,6 +42,12 @@ class TestEscaping:
         for _ in range(400):
             text = _random_nasty(rng)
             assert unescape_text(escape_text(text)) == text
+
+    def test_unescape_keeps_backslashes_that_escape_nothing(self):
+        assert unescape_text("end\\") == "end\\"
+        assert unescape_text("\\x") == "\\x"
+        assert unescape_text("\\\\n") == "\\n"
+        assert unescape_text("\\\\\\n") == "\\\n"
 
     def test_escaped_form_is_single_line(self):
         rng = np.random.default_rng(4)

@@ -89,6 +89,13 @@ class TestTrainGibbs:
         with pytest.raises(ValueError):
             train_gibbs([["a"], ["b"]], k=2, alpha=-1.0)
 
+    @pytest.mark.parametrize("alpha,beta", [
+        (np.inf, 0.01), (np.nan, 0.01), (0.5, np.inf), (0.5, np.nan),
+    ])
+    def test_non_finite_priors_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta must be positive and finite"):
+            train_gibbs([["a"], ["b"]], k=2, alpha=alpha, beta=beta, iterations=1)
+
 
 class TestInference:
     def _model(self):

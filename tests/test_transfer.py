@@ -452,6 +452,24 @@ class TestFinetune:
                            r"gradient in 'dense_b' \(layer group 3\)$"):
             pretrain(_tiny_task(), _table(), cluster_width=0, epochs=2, params=params)
 
+    def test_overflowing_second_moment_is_a_training_error(self, monkeypatch):
+        """A gradient whose square overflows leaves the weights finite but
+        makes Nadam's second moment infinite, which would zero that
+        element's updates from then on."""
+        real_backward = net.backward
+
+        def huge(*args, **kwargs):
+            return {n: np.full_like(g, 1e200) for n, g in real_backward(*args, **kwargs).items()}
+
+        monkeypatch.setattr(net, "backward", huge)
+        train, valid = self._datasets()
+        with pytest.raises(TrainingError, match=(
+            r"^finetune bu phase 1/5 \(groups \[4\]\) epoch 1/1: "
+            r"non-finite second moment in 'out_W' \(layer group 4\)$"
+        )):
+            finetune(_tiny_params(2, 0, 4), make_schedule("bu", 1), train, valid,
+                     seed=0, batch_size=8)
+
     def test_best_keeping_phase_leaves_frozen_arrays_in_place(self):
         """Only trainable arrays are snapshotted and restored, so frozen
         ones come back as the very same objects."""

@@ -7,7 +7,6 @@ to beat, and to rank which tokens matter per class.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 
@@ -15,8 +14,6 @@ import numpy as np
 
 from .embed import EmbeddingTable, IdfTable, idf_weighted_vector
 from .textprep import TokenizedTweet
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -59,7 +56,7 @@ def train_linear(
     W = np.zeros((len(classes), Xb.shape[1]))
     shrink = max(0.0, 1.0 - lr * l2)
     rng = np.random.default_rng(seed)
-    for epoch in range(epochs):
+    for _ in range(epochs):
         order = rng.permutation(len(Xb))
         for i in order:
             x = Xb[i]
@@ -71,17 +68,7 @@ def train_linear(
             if violated.size:
                 W[violated] -= lr * x
                 W[y[i]] += lr * violated.size * x
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("linear epoch %d objective %.6f", epoch + 1, _objective(W, Xb, y, l2))
     return LinearModel(classes=classes, weights=W)
-
-
-def _objective(W: np.ndarray, Xb: np.ndarray, y: np.ndarray, l2: float) -> float:
-    scores = Xb @ W.T
-    true = scores[np.arange(len(y)), y]
-    margins = np.maximum(0.0, scores - true[:, None] + 1.0)
-    margins[np.arange(len(y)), y] = 0.0
-    return float(margins.sum(axis=1).mean() + 0.5 * l2 * (W[:, :-1] ** 2).sum())
 
 
 def predict(model: LinearModel, feature: np.ndarray) -> object:

@@ -159,14 +159,17 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_compat(params: net.NetworkParams, table: embed.EmbeddingTable, width: int) -> None:
+def _check_compat(
+    path: str, params: net.NetworkParams, table: embed.EmbeddingTable, width: int
+) -> None:
     if params.embed_dim != table.dim:
         raise DataError(
-            f"checkpoint expects {params.embed_dim}-dim embeddings, vectors give {table.dim}"
+            f"{path}: checkpoint expects {params.embed_dim}-dim embeddings, "
+            f"vectors give {table.dim}"
         )
     if params.cluster_width != width:
         raise DataError(
-            f"checkpoint has cluster width {params.cluster_width}, run would use {width}"
+            f"{path}: checkpoint has cluster width {params.cluster_width}, run would use {width}"
         )
 
 
@@ -180,7 +183,7 @@ def _cmd_finetune(args: argparse.Namespace) -> int:
         params = _fresh_network(cfg, n_classes, width, table.dim)
     else:
         base, _ = net.load_checkpoint(args.ckpt)
-        _check_compat(base, table, width)
+        _check_compat(args.ckpt, base, table, width)
         params = transfer.replace_head(base, n_classes, seed=cfg.seed)
     train = transfer.encode_labeled(
         corpus.load_labeled(args.train), args.task, table, clusters, width
@@ -219,7 +222,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 f"task {args.task} needs {len(names)}"
             )
         width = clusters.k + 1 if clusters else params.cluster_width
-        _check_compat(params, table, width)
+        _check_compat(path, params, table, width)
         if width not in encoded_by_width:
             encoded_by_width[width] = transfer.encode_labeled(
                 data, args.task, table, clusters, width

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DataError
+from .errors import DataError, open_text
 
 
 @dataclass
@@ -125,7 +125,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     types = {f.name: (int if f.type == "int" else float if f.type == "float" else tuple)
              for f in fields(RunConfig)}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

@@ -1,9 +1,10 @@
 """Dataset ingestion: labeled tweets, raw tweets, splits, mention lists.
 
 Labeled data lives in a tab-separated file with three columns per line
-(text, coarse label, fine label); tab, newline and backslash characters
-inside the text are backslash-escaped so round-trips are exact.  Raw
-tweets live in JSON-lines files with at least ``id`` and ``text`` keys.
+(text, coarse label, fine label); tab, newline, carriage-return and
+backslash characters inside the text are backslash-escaped so round-trips
+are exact.  Raw tweets live in JSON-lines files with at least ``id`` and
+``text`` keys.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import textprep
-from .errors import DataError
+from .errors import DataError, open_text
 
 COARSE_LABELS = ("offense", "other")
 FINE_LABELS = ("insult", "profanity", "abuse", "other")
@@ -57,18 +58,16 @@ class DatasetSplit:
     validation: tuple[LabeledTweet, ...]
 
 
-def escape_text(text: str) -> str:
-    """Backslash-escape tabs, newlines and backslashes for TSV fields."""
-    return (
-        text.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
-
-
+# The one escape map: the letter after a backslash, and the character it
+# stands for.  ``escape_text`` and ``unescape_text`` are both built from it.
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-_ESCAPED = re.compile(r"\\([\\tnr])")
+_ESCAPE = str.maketrans({raw: "\\" + code for code, raw in _UNESCAPE.items()})
+_ESCAPED = re.compile("\\\\([" + re.escape("".join(_UNESCAPE)) + "])")
+
+
+def escape_text(text: str) -> str:
+    """Backslash-escape tabs, newlines, carriage returns and backslashes for TSV fields."""
+    return text.translate(_ESCAPE)
 
 
 def unescape_text(text: str) -> str:
@@ -83,7 +82,7 @@ def load_labeled(path: str) -> list[LabeledTweet]:
     breaks of ``str.splitlines`` are text.
     """
     tweets: list[LabeledTweet] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.removesuffix("\n").split("\t")
             if len(fields) != 3:
@@ -113,7 +112,7 @@ def load_raw(path: str) -> list[RawTweet]:
     """
     tweets: list[RawTweet] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -215,7 +214,7 @@ def save_token_lines(lists: list[list[str]], path: str) -> None:
 
 def load_token_lines(path: str) -> list[list[str]]:
     lists: list[list[str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             tokens = line.split()
             if tokens:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 from .textprep import TokenizedTweet
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -131,7 +131,7 @@ def load_vectors(
     """
     word_vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             parts = [p for p in parts if p]

@@ -1,4 +1,8 @@
-"""Shared exception types and the typed-field check that raises them."""
+"""Shared exception types, and the text reader and typed-field check that raise them."""
+
+import contextlib
+from collections.abc import Iterator
+from typing import TextIO
 
 
 class DataError(ValueError):
@@ -32,3 +36,17 @@ def require(
     if type(value) not in kinds or (items and any(type(v) not in items for v in value)):
         raise DataError(f"{where}: key {key!r} is missing or of the wrong type")
     return value
+
+
+@contextlib.contextmanager
+def open_text(path: str) -> Iterator[TextIO]:
+    """``open(path, encoding="utf-8")`` for reading, where bytes that are
+    not UTF-8 raise a DataError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        # ``exc.start`` counts from the start of a read buffer, not of the
+        # file, so only the byte and the reason are reported.
+        bad = exc.object[exc.start]
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{bad:02x}: {exc.reason})") from None

@@ -24,7 +24,7 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .errors import NUMBER, DataError, require
+from .errors import NUMBER, DataError, open_text, require
 
 _FORMAT = "lda-model"
 _VERSION = 1
@@ -284,7 +284,7 @@ def save_clusters(clusters: UserClusters, path: str) -> None:
 def load_clusters(path: str) -> UserClusters:
     cluster_of: dict[str, int] = {}
     k: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -331,7 +331,7 @@ def save_model(model: LdaModel, path: str) -> None:
 
 
 def load_model(path: str) -> LdaModel:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

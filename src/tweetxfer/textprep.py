@@ -1,20 +1,21 @@
 """Tweet text normalization and tokenization.
 
 Normalization lowercases and folds @-mentions and URLs into the fixed
-placeholder tokens ``<user>`` and ``<url>``.  Tokenization then splits the
-text at every boundary between five character classes: letters, digits,
-punctuation/symbols, emoji, and whitespace.  Whitespace is dropped, emoji
-come out one visual symbol per token (skin-tone modifiers, variation
-selectors and ZWJ-joined parts stay attached to their base), and the two
-placeholders are kept atomic even though ``<`` and ``>`` are punctuation.
+placeholder tokens ``<user>`` and ``<url>``.  Tokenization then takes two
+steps.  One pattern splits out the tokens that are never split or merged:
+the two placeholders (atomic even though ``<`` and ``>`` are punctuation)
+and each emoji symbol, which is a base emoji plus any attached skin-tone
+modifiers or variation selectors plus any ZWJ-joined emoji.  The text
+between them is cut into runs of one character class (letters, digits,
+punctuation/symbols, whitespace), and the whitespace runs are dropped.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import unicodedata
-from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,14 +39,19 @@ _EMOJI_RANGES = (
     (0x1F1E6, 0x1F1FF),
 )
 
-_SKIN_TONE_LO = 0x1F3FB
-_SKIN_TONE_HI = 0x1F3FF
-_ZWJ = "‍"
-_VARIATION_SELECTORS = ("︎", "️")
+_EMOJI_CLASS = "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "]"
+# Skin-tone modifiers (U+1F3FB..1F3FF) and the text/emoji variation
+# selectors attach to the emoji before them; a ZWJ attaches only when an
+# emoji follows it.
+_EMOJI_SYMBOL = re.compile(
+    _EMOJI_CLASS + "(?:[\U0001F3FB-\U0001F3FF\uFE0E\uFE0F]|\u200D" + _EMOJI_CLASS + ")*"
+)
+_ATOMIC = re.compile(
+    "|".join(re.escape(ph) for ph in PLACEHOLDERS) + "|" + _EMOJI_SYMBOL.pattern
+)
 
 _CLS_LETTER = "L"
 _CLS_DIGIT = "D"
-_CLS_EMOJI = "E"
 _CLS_PUNCT = "P"
 _CLS_SPACE = "W"
 
@@ -67,8 +73,6 @@ def is_emoji_char(ch: str) -> bool:
 def _char_class(ch: str) -> str:
     if ch.isspace():
         return _CLS_SPACE
-    if is_emoji_char(ch):
-        return _CLS_EMOJI
     if ch.isalpha() or unicodedata.category(ch).startswith("M"):
         # Combining marks count as letters so bare diacritics stay glued
         # to the word they modify.
@@ -91,97 +95,40 @@ def normalize(text: str) -> str:
     return text
 
 
-def _placeholder_at(text: str, i: int) -> str | None:
-    if text[i] != "<":  # every placeholder starts with "<"
-        return None
-    for ph in PLACEHOLDERS:
-        if text.startswith(ph, i):
-            return ph
-    return None
-
-
-def _consume_emoji(text: str, i: int) -> int:
-    """Return the end index of the emoji symbol starting at ``i``.
-
-    A symbol is a base emoji plus any directly attached skin-tone
-    modifiers or variation selectors, plus ZWJ-joined continuations.
-    """
-    j = i + 1
-    n = len(text)
-    while j < n:
-        ch = text[j]
-        if _SKIN_TONE_LO <= ord(ch) <= _SKIN_TONE_HI:
-            j += 1
-        elif ch in _VARIATION_SELECTORS:
-            j += 1
-        elif ch == _ZWJ and j + 1 < n and is_emoji_char(text[j + 1]):
-            j += 2
-        else:
-            break
-    return j
+def _class_runs(segment: str) -> list[str]:
+    """``segment`` cut at character-class boundaries, whitespace dropped."""
+    return [
+        "".join(run)
+        for cls, run in itertools.groupby(segment, _char_class)
+        if cls != _CLS_SPACE
+    ]
 
 
 def tokenize(text: str, source_id: str = "") -> TokenizedTweet:
-    """Split ``text`` at character-class boundaries.
+    """Split ``text`` into placeholders, emoji symbols and class runs.
 
     Whitespace separates tokens and is dropped; every other character
     lands in exactly one token, so joining the tokens reproduces the
     input minus its whitespace.
     """
     tokens: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ph = _placeholder_at(text, i)
-        if ph is not None:
-            tokens.append(ph)
-            i += len(ph)
-            continue
-        ch = text[i]
-        cls = _char_class(ch)
-        if cls == _CLS_SPACE:
-            i += 1
-            continue
-        if cls == _CLS_EMOJI:
-            j = _consume_emoji(text, i)
-            tokens.append(text[i:j])
-            i = j
-            continue
-        j = i + 1
-        while j < n and _char_class(text[j]) == cls and _placeholder_at(text, j) is None:
-            j += 1
-        tokens.append(text[i:j])
-        i = j
+    start = 0
+    for m in _ATOMIC.finditer(text):
+        tokens += _class_runs(text[start:m.start()])
+        tokens.append(m.group())
+        start = m.end()
+    tokens += _class_runs(text[start:])
     return TokenizedTweet(tokens=tuple(tokens), source_id=source_id)
-
-
-def _emoji_spans(text: str) -> Iterator[tuple[int, int]]:
-    """``(start, end)`` of every emoji symbol in ``text``, in order."""
-    i = 0
-    n = len(text)
-    while i < n:
-        if is_emoji_char(text[i]):
-            j = _consume_emoji(text, i)
-            yield i, j
-            i = j
-        else:
-            i += 1
 
 
 def emoji_symbols(text: str) -> list[str]:
     """All emoji symbols in ``text``, in order, duplicates kept."""
-    return [text[i:j] for i, j in _emoji_spans(text)]
+    return _EMOJI_SYMBOL.findall(text)
 
 
 def remove_emoji(text: str) -> str:
     """Strip every emoji symbol (with attached modifiers) from ``text``."""
-    out: list[str] = []
-    kept_from = 0
-    for i, j in _emoji_spans(text):
-        out.append(text[kept_from:i])
-        kept_from = j
-    out.append(text[kept_from:])
-    return "".join(out)
+    return _EMOJI_SYMBOL.sub("", text)
 
 
 def load_stopwords(path: str | None = None) -> frozenset[str]:

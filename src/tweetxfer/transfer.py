@@ -19,7 +19,7 @@ import numpy as np
 from . import corpus, evalkit, net, textprep
 from .corpus import LabeledTweet, RawTweet
 from .embed import EmbeddingTable
-from .errors import DataError, TrainingError, require
+from .errors import DataError, TrainingError, open_text, require
 from .evalkit import binary_metrics, macro_metrics  # noqa: F401 (perfbench probes them here)
 from .lda import LdaModel, UserClusters, majority_topic
 from .textprep import TokenizedTweet
@@ -57,7 +57,7 @@ class CommentRecord:
 def load_comments(path: str) -> list[CommentRecord]:
     """JSON-lines moderated comments with per-annotator boolean flags."""
     records: list[CommentRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -134,15 +134,20 @@ def build_topic_task(
 ) -> PretrainTask:
     """Label tweets with their majority LDA topic.
 
-    Tweets with fewer than ``MIN_TOPIC_TOKENS`` meaningful tokens are skipped.
+    Only meaningful tokens in the model's vocabulary count, since fold-in
+    ignores every other token.  Tweets with fewer than
+    ``MIN_TOPIC_TOKENS`` of them are skipped rather than given the label
+    of a uniform distribution.
     """
     examples = []
     for t in tweets:
         tokens = tokenize_text(t.text, t.id)
-        meaningful = textprep.meaningful_tokens(tokens, stopwords)
-        if len(meaningful) < MIN_TOPIC_TOKENS:
+        known = [
+            tok for tok in textprep.meaningful_tokens(tokens, stopwords) if tok in model.vocab
+        ]
+        if len(known) < MIN_TOPIC_TOKENS:
             continue
-        label = majority_topic(model, meaningful, iterations=infer_iterations, seed=seed)
+        label = majority_topic(model, known, iterations=infer_iterations, seed=seed)
         examples.append((tokens, label))
     return PretrainTask(
         kind="topic",

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -11,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from tweetxfer import corpus, evalkit, lda, net, transfer
+from tweetxfer import corpus, embed, evalkit, lda, net, transfer
 from tweetxfer.cli import _build_parser, _config, _load_table, _report, main
 from tweetxfer.config import RunConfig, load_config
+from tweetxfer.errors import DataError
 from tweetxfer.fixtures import (
     clique_mentions,
     comment_records,
@@ -445,7 +447,9 @@ class TestEvaluateCli:
             "evaluate", "--ckpt", trained["ft"], "--data", trained["valid"], *flags,
         ])
         assert code == 2
-        assert err == "data error: checkpoint expects 12-dim embeddings, vectors give 3\n"
+        assert err == (
+            f"data error: {trained['ft']}: checkpoint expects 12-dim embeddings, vectors give 3\n"
+        )
         code, _, ft_err = _run([
             "finetune", "--ckpt", trained["ft"], "--strategy", "none",
             "--train", trained["train"], "--valid", trained["valid"],
@@ -466,7 +470,9 @@ class TestEvaluateCli:
             "--task", "coarse", "--config", ws["cfg"], "--clusters", str(clusters),
         ])
         assert code == 2 and stdout == ""
-        assert err == "data error: checkpoint has cluster width 3, run would use 5\n"
+        assert err == (
+            f"data error: {trained['ft']}: checkpoint has cluster width 3, run would use 5\n"
+        )
 
     def test_task_head_mismatch(self, ws, trained, tmp_path):
         code, _, err = _run([
@@ -690,6 +696,41 @@ class TestExitCodes:
         code, _, _ = _run(["gradcheck", "--config", str(cfg)])
         assert code == 2
 
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 are a data error that names the file."""
+
+    _BYTES = b"gut\xe9\tother\tother\n"
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            corpus.load_labeled, corpus.load_raw, corpus.load_token_lines,
+            transfer.load_comments, lda.load_clusters, lda.load_model,
+            embed.load_vectors, load_config,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_every_loader(self, load, tmp_path):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(self._BYTES)
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: not UTF-8 text"):
+            load(str(bad))
+
+    def test_labeled_file(self, tmp_path):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(self._BYTES)
+        code, _, err = _run(["prepare", "--labeled", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert err == f"data error: {bad}: not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
+
+    def test_config_file(self, tmp_path):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"# gr\xfc\xdfe\nseed = 1\n")
+        code, _, err = _run(["gradcheck", "--config", str(bad)])
+        assert code == 2
+        assert err == f"data error: {bad}: not UTF-8 text (byte 0xfc: invalid start byte)\n"
 
 # The command line needs these to parse; none of them is a config key.
 _REQUIRED = {

@@ -49,6 +49,20 @@ class TestEscaping:
         assert unescape_text("\\\\n") == "\\n"
         assert unescape_text("\\\\\\n") == "\\\n"
 
+    def test_escape_matches_replace_chain(self):
+        """The translate table escapes exactly as the chained replaces did,
+        backslashes first so no escape is escaped twice."""
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            text = _random_nasty(rng) + "\x1c\u2028\\t"
+            chained = (
+                text.replace("\\", "\\\\")
+                .replace("\t", "\\t")
+                .replace("\n", "\\n")
+                .replace("\r", "\\r")
+            )
+            assert escape_text(text) == chained
+
     def test_escaped_form_is_single_line(self):
         rng = np.random.default_rng(4)
         for _ in range(200):

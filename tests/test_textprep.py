@@ -1,5 +1,6 @@
 import hashlib
 import os
+import unicodedata
 
 import numpy as np
 import pytest
@@ -23,6 +24,111 @@ _FRAGMENTS = (
     "123", "42", "!?", "...", "#tag", ":-)",
     "\U0001F600", "\U0001F602\U0001F602", "\U0001F44D\U0001F3FD",
     "\U0001F468‍\U0001F469‍\U0001F467",
+)
+
+
+# The hand-written scanner that ``tokenize``, ``emoji_symbols`` and
+# ``remove_emoji`` replaced, kept as the reference they must agree with.
+_REF_SKIN_TONES = range(0x1F3FB, 0x1F3FF + 1)
+_REF_ZWJ = "\u200d"
+_REF_VARIATION_SELECTORS = ("\ufe0e", "\ufe0f")
+
+
+def _ref_class(ch: str) -> str:
+    if ch.isspace():
+        return "W"
+    if is_emoji_char(ch):
+        return "E"
+    if ch.isalpha() or unicodedata.category(ch).startswith("M"):
+        return "L"
+    if ch.isdigit():
+        return "D"
+    return "P"
+
+
+def _ref_placeholder_at(text: str, i: int) -> str | None:
+    for ph in (USER_TOKEN, URL_TOKEN):
+        if text.startswith(ph, i):
+            return ph
+    return None
+
+
+def _ref_consume_emoji(text: str, i: int) -> int:
+    j = i + 1
+    while j < len(text):
+        ch = text[j]
+        if ord(ch) in _REF_SKIN_TONES or ch in _REF_VARIATION_SELECTORS:
+            j += 1
+        elif ch == _REF_ZWJ and j + 1 < len(text) and is_emoji_char(text[j + 1]):
+            j += 2
+        else:
+            break
+    return j
+
+
+def _ref_tokenize(text: str) -> tuple[str, ...]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ph = _ref_placeholder_at(text, i)
+        if ph is not None:
+            tokens.append(ph)
+            i += len(ph)
+            continue
+        cls = _ref_class(text[i])
+        if cls == "W":
+            i += 1
+            continue
+        if cls == "E":
+            j = _ref_consume_emoji(text, i)
+        else:
+            j = i + 1
+            while (
+                j < len(text)
+                and _ref_class(text[j]) == cls
+                and _ref_placeholder_at(text, j) is None
+            ):
+                j += 1
+        tokens.append(text[i:j])
+        i = j
+    return tuple(tokens)
+
+
+def _ref_emoji_spans(text: str) -> list[tuple[int, int]]:
+    spans = []
+    i = 0
+    while i < len(text):
+        if is_emoji_char(text[i]):
+            j = _ref_consume_emoji(text, i)
+            spans.append((i, j))
+            i = j
+        else:
+            i += 1
+    return spans
+
+
+def _ref_remove_emoji(text: str) -> str:
+    out = []
+    kept_from = 0
+    for i, j in _ref_emoji_spans(text):
+        out.append(text[kept_from:i])
+        kept_from = j
+    out.append(text[kept_from:])
+    return "".join(out)
+
+
+# Characters and fragments that sit on the scanner's decision points:
+# skin tones, both variation selectors, ZWJ, regional indicators, the
+# code points on either side of the emoji range edges, a combining mark,
+# digits that are not ASCII, unusual whitespace, and placeholder prefixes.
+_ALPHABET = (
+    "a", "Z", "\u00df", "1", "!", "<", ">", " ", "\n",
+    "\U0001F600", "\U0001F468", "\U0001F469", "\U0001F680", "\U0001F9FF",
+    "\U0001F3FB", "\U0001F3FF", "\ufe0e", "\ufe0f", "\u200d",
+    "\U0001F1E9", "\U0001F1EA",
+    "\U0001F2FF", "\U0001F300", "\U0001F5FF", "\U0001F700",
+    "\u0301", "\u00b2", "\u0663", "\u00a0", "\u3000", "\x1c",
+    "<use", USER_TOKEN, URL_TOKEN,
 )
 
 
@@ -134,10 +240,27 @@ class TestTokenize:
             ("abc123def 4567", ("abc", "123", "def", "4567")),
             ("\u0663\u06645", ("\u0663\u06645",)),
             ("\u00b2x", ("\u00b2", "x")),
+            ("<<user>", ("<", USER_TOKEN)),
+            # a flag is two regional indicators, and each is its own symbol
+            ("\U0001F1E9\U0001F1EA", ("\U0001F1E9", "\U0001F1EA")),
+            # a ZWJ with no emoji after it does not attach
+            ("\U0001F600\u200da", ("\U0001F600", "\u200d", "a")),
         ],
     )
     def test_edge_cases(self, text, tokens):
         assert tokenize(text).tokens == tokens
+
+    def test_agrees_with_reference_scanner(self):
+        """Tokens, emoji symbols and emoji-free text equal the scanner's on
+        seeded random strings over an alphabet of its decision points."""
+        rng = np.random.default_rng(20)
+        for _ in range(20_000):
+            picks = rng.integers(0, len(_ALPHABET), size=int(rng.integers(0, 10)))
+            text = "".join(_ALPHABET[i] for i in picks)
+            assert tokenize(text).tokens == _ref_tokenize(text), repr(text)
+            spans = _ref_emoji_spans(text)
+            assert textprep.emoji_symbols(text) == [text[i:j] for i, j in spans], repr(text)
+            assert textprep.remove_emoji(text) == _ref_remove_emoji(text), repr(text)
 
     def test_fixture_corpora_digest(self, tmp_path):
         """Pins every token of the make-fixtures raw and labeled corpora,

@@ -159,6 +159,20 @@ class TestTopicTask:
         task = build_topic_task(tweets, model, frozenset(), infer_iterations=5, seed=0)
         assert len(task.examples) == len(docs)
 
+    def test_tweets_without_known_words_skipped(self):
+        """Fold-in ignores words outside the model's vocabulary, so only known
+        words count toward the minimum; a tweet of unseen words gets no label."""
+        docs, _ = planted_topic_docs(300, n_topics=3, seed=1)
+        model = lda.train_gibbs(docs, k=3, iterations=20, seed=0)
+        stems = [a + b for a in "abcdefghij" for b in "vwxyz"]
+        unseen = [RawTweet(s, f"neu{s} fremd{s} unbekannt{s}") for s in stems]
+        assert not any(tok in model.vocab for t in unseen for tok in t.text.split())
+        task = build_topic_task(unseen, model, frozenset(), infer_iterations=5, seed=0)
+        assert task.examples == ()
+        # one known word is below the minimum as well, however many unseen words join it
+        half = [RawTweet("h", f"{docs[0][0]} neuwort fremdwort")]
+        assert build_topic_task(half, model, frozenset(), infer_iterations=5).examples == ()
+
     def test_stopwords_do_not_count_toward_minimum(self):
         docs, _ = planted_topic_docs(20, seed=8)
         model = lda.train_gibbs(docs, k=2, iterations=10, seed=0)

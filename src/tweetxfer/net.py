@@ -6,6 +6,9 @@ convolution blocks, 3 = the hidden dense layer, 4 = the prediction
 layer.  A freeze mask names the trainable groups; only their arrays get
 gradients, optimizer moments and updates.
 
+``predict`` runs the same forward pass but keeps no backward trace, so
+it holds only one kernel's activations at a time.
+
 Input batches carry per-token embedding rows plus a 0/1 validity mask.
 Sequences shorter than the widest convolution kernel are treated as if
 padded with zero-embedding tokens up to that width, so every kernel
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -251,10 +255,11 @@ class _LstmTrace:
     # buffer because a single tanh over the (B, 4H) pre-activation yields
     # all four at once; backward slices the blocks it needs.  This takes
     # the same memory as four (B, T, H) arrays.
-    gates: np.ndarray
-    tanh_c: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
+    # Without a trace only ``h_out`` is kept; the other fields are None.
+    gates: np.ndarray | None
+    tanh_c: np.ndarray | None
+    h_prev: np.ndarray | None
+    c_prev: np.ndarray | None
     h_out: np.ndarray
 
 
@@ -265,13 +270,15 @@ def _lstm_direction(
     U: np.ndarray,
     b: np.ndarray,
     reverse: bool,
+    keep_trace: bool,
 ) -> _LstmTrace:
     B, T, _ = x.shape
     H = U.shape[0]
     order = range(T - 1, -1, -1) if reverse else range(T)
     h = np.zeros((B, H))
     c = np.zeros((B, H))
-    tr = _LstmTrace(np.zeros((B, T, 4 * H)), *(np.zeros((B, T, H)) for _ in range(4)))
+    kept = [np.zeros((B, T, n)) for n in (4 * H, H, H, H)] if keep_trace else [None] * 4
+    tr = _LstmTrace(*kept, h_out=np.zeros((B, T, H)))
     # sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh serves all four gates:
     # halve the i, f, o pre-activations, then map each t to scale * t + shift.
     # Halving is exact in floating point, so halving the weights once gives
@@ -282,18 +289,19 @@ def _lstm_direction(
     Ws, Us, bs = W * scale, U * scale, b * scale
     for t in order:
         m = eff[:, t : t + 1]
-        tr.h_prev[:, t] = h
-        tr.c_prev[:, t] = c
+        if keep_trace:
+            tr.h_prev[:, t] = h
+            tr.c_prev[:, t] = c
         z = x[:, t] @ Ws
         z += h @ Us
         z += bs
-        gates = tr.gates[:, t]
+        gates = tr.gates[:, t] if keep_trace else z
         np.tanh(z, out=gates)
         gates *= scale
         gates += shift
         i, f, g, o = np.split(gates, 4, axis=1)
         c_new = f * c + i * g
-        tanh_c = np.tanh(c_new, out=tr.tanh_c[:, t])
+        tanh_c = np.tanh(c_new, out=tr.tanh_c[:, t] if keep_trace else None)
         h_new = o * tanh_c
         # Masked steps carry state through unchanged, so padding after a
         # sequence's end never alters it.
@@ -389,12 +397,16 @@ def forward(
     mode: str = "train",
     dropout_seed: int = 0,
     dropout: float = 0.5,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; returns class probabilities and a backward cache.
+    *,
+    _keep_trace: bool = True,
+) -> tuple[np.ndarray, ForwardCache | None]:
+    """Run the network; returns class probabilities and ``backward``'s cache.
 
     Train mode applies inverted dropout to the BiLSTM output sequence
     and to each pooled convolution vector, with masks drawn from
     ``dropout_seed`` in a fixed order.  Eval mode is deterministic.
+    ``predict`` passes the private ``_keep_trace=False``, which gives the
+    same probabilities bit for bit and None in place of the cache.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -432,13 +444,15 @@ def forward(
 
     fw = _lstm_direction(
         emb, eff, params.arrays["lstm_fw_W"], params.arrays["lstm_fw_U"],
-        params.arrays["lstm_fw_b"], reverse=False,
+        params.arrays["lstm_fw_b"], reverse=False, keep_trace=_keep_trace,
     )
     bw = _lstm_direction(
         emb, eff, params.arrays["lstm_bw_W"], params.arrays["lstm_bw_U"],
-        params.arrays["lstm_bw_b"], reverse=True,
+        params.arrays["lstm_bw_b"], reverse=True, keep_trace=_keep_trace,
     )
     h_cat = np.concatenate([fw.h_out, bw.h_out], axis=2)
+    if not _keep_trace:
+        fw = bw = None  # only the cache reads them again
     h_drop = h_cat * lstm_mask if lstm_mask is not None else h_cat
 
     conv: dict[int, _ConvTrace] = {}
@@ -447,17 +461,21 @@ def forward(
     for k in params.kernels:
         cols = _windows(h_drop, k)
         pre = cols @ params.arrays[f"conv{k}_W"] + params.arrays[f"conv{k}_b"]
-        act = _leaky(pre, params.leaky_slope)
         p = T - k + 1
         valid = (positions[:p][None, :] + k) <= lengths[:, None]
-        act_masked = np.where(valid[:, :, None], act, -np.inf)
-        arg = act_masked.argmax(axis=1)
-        pooled = np.take_along_axis(act_masked, arg[:, None, :], axis=1)[:, 0]
+        # Leaky ReLU is monotone, so pooling before it picks the same value
+        # bit for bit.  Masking in place keeps signed zeros (adding 0/-inf
+        # would not); backward sees -inf only where the gradient is zero.
+        pre[~valid] = -np.inf
+        arg = pre.argmax(axis=1)
+        pooled = _leaky(np.take_along_axis(pre, arg[:, None, :], axis=1)[:, 0], params.leaky_slope)
         pool_mask = pool_masks.get(k)
         pooled_drop = pooled * pool_mask if pool_mask is not None else pooled
-        conv[k] = _ConvTrace(
-            pre=pre, arg=arg, pooled=pooled, pool_mask=pool_mask, pooled_drop=pooled_drop,
-        )
+        if _keep_trace:
+            conv[k] = _ConvTrace(
+                pre=pre, arg=arg, pooled=pooled, pool_mask=pool_mask, pooled_drop=pooled_drop,
+            )
+        del cols, pre
         pooled_parts.append(pooled_drop)
 
     z = np.concatenate(pooled_parts + [batch.cluster_features], axis=1)
@@ -468,7 +486,7 @@ def forward(
     cache = ForwardCache(
         params=params, emb=emb, eff=eff, fw=fw, bw=bw, lstm_mask=lstm_mask,
         h_drop=h_drop, conv=conv, z=z, a_pre=a_pre, a=a, probs=probs,
-    )
+    ) if _keep_trace else None
     return probs, cache
 
 
@@ -619,8 +637,8 @@ def step(
 
 
 def predict(params: NetworkParams, batch: Batch) -> np.ndarray:
-    """Eval-mode class predictions, ties to the lowest class id."""
-    probs, _ = forward(params, batch, mode="eval")
+    """Eval-mode class predictions, ties to the lowest class id; keeps no trace."""
+    probs, _ = forward(params, batch, mode="eval", _keep_trace=False)
     return probs.argmax(axis=1)
 
 
@@ -730,11 +748,17 @@ def load_checkpoint(path: str) -> tuple[NetworkParams, None]:
         name, shape = spec
         if name in arrays:
             raise DataError(f"{path}: array {name!r} listed twice in checkpoint header")
-        n_bytes = 8 * int(np.prod(shape))
+        # numpy refuses an array whose nonzero dims multiply past its byte range.
+        if math.prod(d or 1 for d in shape) > np.iinfo(np.intp).max // 8:
+            raise DataError(f"{path}: array {name!r} shape {shape} is too large")
+        n_bytes = 8 * math.prod(shape)
         if off + n_bytes > len(data):
             raise DataError(f"{path}: truncated checkpoint data at array {name!r}")
         raw = np.frombuffer(data[off : off + n_bytes], dtype="<f8")
-        arrays[name] = raw.astype(np.float64).reshape(shape)
+        try:
+            arrays[name] = raw.astype(np.float64).reshape(shape)
+        except ValueError:  # more dimensions than numpy allows
+            raise DataError(f"{path}: array {name!r} shape {shape} is too large") from None
         if not np.isfinite(arrays[name]).all():
             raise DataError(f"{path}: array {name!r} holds non-finite values")
         off += n_bytes

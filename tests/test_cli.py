@@ -483,17 +483,22 @@ class TestEvaluateCli:
         assert "classes" in err
 
 
+def _edited_checkpoint(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON header."""
+    data = pathlib.Path(src).read_bytes()
+    (head_len,) = struct.unpack_from("<Q", data, 12)
+    header = json.loads(data[20 : 20 + head_len])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    dst.write_bytes(data[:12] + struct.pack("<Q", len(head)) + head + data[20 + head_len :])
+    return dst
+
+
 class TestMalformedArtifactsCli:
     """A loader that meets a missing or mistyped key exits 2, never a traceback."""
 
     def test_checkpoint_without_arch(self, ws, trained, tmp_path):
-        data = pathlib.Path(trained["ft"]).read_bytes()
-        (head_len,) = struct.unpack_from("<Q", data, 12)
-        header = json.loads(data[20 : 20 + head_len])
-        del header["arch"]
-        head = json.dumps(header).encode("utf-8")
-        bad = tmp_path / "no_arch.ckpt"
-        bad.write_bytes(data[:12] + struct.pack("<Q", len(head)) + head + data[20 + head_len :])
+        bad = _edited_checkpoint(trained["ft"], tmp_path / "no_arch.ckpt", lambda h: h.pop("arch"))
         code, _, err = _run([
             "evaluate", "--ckpt", str(bad), "--data", trained["valid"],
             "--task", "coarse", "--config", ws["cfg"],
@@ -536,6 +541,18 @@ class TestMalformedArtifactsCli:
         assert err == (
             f"data error: {bad}: checkpoints with optimizer state are not supported\n"
         )
+
+    def test_checkpoint_with_overflowing_shape(self, ws, trained, tmp_path):
+        bad = _edited_checkpoint(
+            trained["ft"], tmp_path / "huge.ckpt",
+            lambda h: h["arrays"][0].__setitem__(1, [2**32, 2**32]),
+        )
+        code, stdout, err = _run([
+            "evaluate", "--ckpt", str(bad), "--data", trained["valid"],
+            "--task", "coarse", "--config", ws["cfg"],
+        ])
+        assert code == 2 and stdout == ""
+        assert err == f"data error: {bad}: array 'lstm_fw_W' shape [{2**32}, {2**32}] is too large\n"
 
     def test_topic_model_without_vocab(self, ws, trained, tmp_path):
         payload = json.loads(pathlib.Path(trained["lda"]).read_text(encoding="utf-8"))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,9 +313,10 @@ class TestLstmCell:
         U = rng.normal(size=(H, 4 * H))
         b = rng.normal(size=4 * H)
         for reverse in (False, True):
-            tr = net._lstm_direction(x, eff, W, U, b, reverse)
             expected = _reference_lstm(x, eff, W, U, b, reverse)
-            np.testing.assert_allclose(tr.h_out, expected, rtol=0, atol=1e-12)
+            for keep_trace in (True, False):
+                tr = net._lstm_direction(x, eff, W, U, b, reverse, keep_trace)
+                np.testing.assert_allclose(tr.h_out, expected, rtol=0, atol=1e-12)
 
     def test_saturated_gates_stay_finite(self):
         """Huge inputs saturate every gate without overflow or underflow."""
@@ -329,6 +331,7 @@ class TestLstmCell:
         for mode in ("eval", "train"):
             with np.errstate(all="raise"):
                 probs, _ = forward(params, loud, mode=mode, dropout_seed=1)
+                predict(params, loud)
             assert np.isfinite(probs).all()
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -511,6 +514,49 @@ class TestPredict:
         probs, _ = forward(params, batch, mode="eval")
         np.testing.assert_array_equal(predict(params, batch), probs.argmax(axis=1))
 
+    @pytest.mark.parametrize(
+        "params,batch",
+        [
+            pytest.param(_small_params(), _small_batch(batch=6, t=9), id="mixed-lengths"),
+            pytest.param(
+                _small_params(),
+                make_batch([np.random.default_rng(n).normal(size=(n, 16)) for n in (1, 2)],
+                           np.ones((2, 5))),
+                id="shorter-than-widest-kernel",
+            ),
+            pytest.param(
+                _small_params(cluster_width=0), _small_batch(cluster_width=0), id="no-clusters"
+            ),
+            pytest.param(_small_params(), _small_batch(batch=1), id="batch-of-one"),
+            pytest.param(
+                init_params(3, 5, seed=2, leaky_slope=0.0, **_SMALL), _small_batch(seed=2),
+                id="zero-slope",
+            ),
+        ],
+    )
+    def test_trace_free_forward_is_bit_identical(self, params, batch):
+        traced, cache = forward(params, batch, mode="eval")
+        free, none = forward(params, batch, mode="eval", _keep_trace=False)
+        assert cache is not None and none is None
+        np.testing.assert_array_equal(free, traced)
+        np.testing.assert_array_equal(predict(params, batch), traced.argmax(axis=1))
+
+    @pytest.mark.parametrize("batch,t", [(64, 20), (8, 7)])
+    def test_holds_under_half_the_memory_of_a_traced_forward(self, batch, t):
+        params = _small_params()
+        data = _small_batch(batch=batch, t=t)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced = peak(lambda: forward(params, data, mode="eval"))
+        assert peak(lambda: predict(params, data)) < 0.5 * traced
+
 
 class TestChecksum:
     def test_detects_single_element_change(self):
@@ -691,6 +737,17 @@ class TestCheckpoints:
             shapes = {name: a.shape for name, a in params.arrays.items()}
             assert shapes == net._array_shapes(params)
             assert list(shapes) == list(net._array_shapes(params))
+
+    @pytest.mark.parametrize("shape", [[2**32, 2**32], [0, 2**63], [1] * 65])
+    def test_shape_numpy_cannot_hold_is_data_error(self, tmp_path, shape):
+        """A product past int64, a dimension or a rank past numpy's limit names the file."""
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), _small_params())
+        header = _read_header(path)
+        header["arrays"][0][1] = shape
+        _write_header(path, header)
+        with pytest.raises(DataError, match="x.ckpt: array 'lstm_fw_W' shape .* is too large"):
+            load_checkpoint(str(path))
 
     def test_trailing_bytes(self, tmp_path):
         params = _small_params()

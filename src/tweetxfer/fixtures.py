@@ -274,10 +274,18 @@ def toy_batch(
     lengths = [t, max(2, t // 2), 3, max(5, t - 2)][:batch]
     while len(lengths) < batch:
         lengths.append(int(rng.integers(2, t + 1)))
-    sequences = [rng.normal(0.0, 0.3, (length, embed_dim)) for length in lengths]
+    ids, matrix = stack_rows([rng.normal(0.0, 0.3, (n, embed_dim)) for n in lengths])
     feats = (rng.random((batch, cluster_width)) < 0.3).astype(np.float64)
     labels = rng.integers(0, n_classes, size=batch)
-    return net.make_batch(sequences, feats, labels)
+    return net.make_batch(ids, matrix, feats, labels)
+
+
+def stack_rows(sequences: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Token ids and matrix for per-tweet embedding rows, every row its own
+    token: the rows are stacked in order under the zero padding row."""
+    ends = np.cumsum([1] + [len(s) for s in sequences])
+    ids = [np.arange(end - len(s), end) for s, end in zip(sequences, ends[1:])]
+    return ids, np.concatenate([np.zeros((1, sequences[0].shape[1]))] + list(sequences))
 
 
 def write_all(outdir: str, seed: int = 0) -> list[str]:

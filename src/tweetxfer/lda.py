@@ -291,7 +291,8 @@ def load_clusters(path: str) -> UserClusters:
                 continue
             fields = line.split("\t")
             if fields[0] == "#k":
-                if len(fields) != 2 or not fields[1].isdigit():
+                # isdigit alone passes "²", which int() rejects.
+                if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
                     raise DataError(f"{path}:{lineno}: bad cluster count header")
                 k = int(fields[1])
                 continue

@@ -9,7 +9,8 @@ gradients, optimizer moments and updates.
 ``predict`` runs the same forward pass but keeps no backward trace, so
 it holds only one kernel's activations at a time.
 
-Input batches carry per-token embedding rows plus a 0/1 validity mask.
+Input batches carry per-token embedding rows, gathered by ``make_batch``
+from token ids into one embedding matrix, plus a 0/1 validity mask.
 Sequences shorter than the widest convolution kernel are treated as if
 padded with zero-embedding tokens up to that width, so every kernel
 always sees at least one window.
@@ -201,38 +202,37 @@ class Batch:
 
 
 def make_batch(
-    sequences: list[np.ndarray],
+    ids: list[np.ndarray],
+    matrix: np.ndarray,
     cluster_features: np.ndarray | list,
     labels: np.ndarray | list | None = None,
     max_len: int = 100,
 ) -> Batch:
-    """Pad per-tweet embedding matrices to a common length.
+    """Pad per-tweet token ids to a common length and gather their vectors.
 
-    Sequences longer than ``max_len`` tokens are truncated.  Padding
-    rows are zero and masked out.
+    ``ids`` index rows of ``matrix``, whose row 0 is the zero padding
+    vector; id 0 never names a token.  Sequences longer than ``max_len``
+    tokens are truncated.  Padding rows are zero and masked out.
     """
-    if not sequences:
+    if not ids:
         raise ValueError("batch needs at least one sequence")
     feats = np.asarray(cluster_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] != len(sequences):
+    if feats.ndim != 2 or feats.shape[0] != len(ids):
         raise ValueError("cluster features must align with sequences")
-    dims = {s.shape[1] for s in sequences}
-    if len(dims) != 1:
-        raise ValueError(f"sequences disagree on embedding dim: {sorted(dims)}")
-    dim = dims.pop()
-    clipped = [s[:max_len] for s in sequences]
-    t_max = max(1, max(len(s) for s in clipped))
-    emb = np.zeros((len(clipped), t_max, dim))
-    mask = np.zeros((len(clipped), t_max))
-    for i, s in enumerate(clipped):
-        emb[i, : len(s)] = s
-        mask[i, : len(s)] = 1.0
+    clipped = [s[:max_len] for s in ids]
+    lengths = np.array([len(s) for s in clipped])
+    real = np.arange(max(1, lengths.max())) < lengths[:, None]
+    padded = np.zeros(real.shape, dtype=np.intp)
+    padded[real] = np.concatenate(clipped)
     lab = None
     if labels is not None:
         lab = np.asarray(labels, dtype=np.int64)
         if lab.shape != (len(clipped),):
             raise ValueError("labels must align with sequences")
-    return Batch(embeddings=emb, mask=mask, cluster_features=feats, labels=lab)
+    return Batch(
+        embeddings=matrix[padded], mask=(padded > 0).astype(np.float64),
+        cluster_features=feats, labels=lab,
+    )
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -302,7 +302,8 @@ def test_overfit_capacity():
         for start in range(0, len(data), 8):
             idx = order[start : start + 8]
             batch = net.make_batch(
-                [data.sequences[i] for i in idx], data.cluster_features[idx], data.labels[idx]
+                [data.ids[i] for i in idx], data.matrix, data.cluster_features[idx],
+                data.labels[idx],
             )
             _, cache = net.forward(params, batch, mode="train",
                                    dropout_seed=int(rng.integers(0, 2**63)), dropout=0.0)

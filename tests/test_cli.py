@@ -474,6 +474,16 @@ class TestEvaluateCli:
             f"data error: {trained['ft']}: checkpoint has cluster width 3, run would use 5\n"
         )
 
+    def test_cluster_count_header_of_non_ascii_digits(self, ws, trained, tmp_path):
+        clusters = tmp_path / "clusters.tsv"
+        clusters.write_text("#k\t\u00b2\nuA\t0\n", encoding="utf-8")
+        code, stdout, err = _run([
+            "evaluate", "--ckpt", trained["ft"], "--data", trained["valid"],
+            "--task", "coarse", "--config", ws["cfg"], "--clusters", str(clusters),
+        ])
+        assert code == 2 and stdout == ""
+        assert err == f"data error: {clusters}:1: bad cluster count header\n"
+
     def test_task_head_mismatch(self, ws, trained, tmp_path):
         code, _, err = _run([
             "evaluate", "--ckpt", trained["ft"], "--data", trained["valid"],

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import numpy as np
@@ -342,6 +343,14 @@ class TestPersistence:
             load_clusters(str(path))
         path.write_text("#k\t2\nuA\tx\n", encoding="utf-8")
         with pytest.raises(DataError):
+            load_clusters(str(path))
+
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0663", "", "-2", "2 "])
+    def test_cluster_count_header_takes_ascii_digits_only(self, tmp_path, count):
+        path = tmp_path / "c.tsv"
+        path.write_text(f"#k\t{count}\nuA\t0\n", encoding="utf-8")
+        message = f"^{re.escape(str(path))}:1: bad cluster count header$"
+        with pytest.raises(DataError, match=message):
             load_clusters(str(path))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from tweetxfer import net
 from tweetxfer.errors import DataError
-from tweetxfer.fixtures import toy_batch
+from tweetxfer.fixtures import stack_rows, toy_batch
 from tweetxfer.net import (
     ALL_LAYERS,
     Batch,
@@ -161,11 +161,15 @@ class TestInitParams:
         assert params.arrays["out_W"][0, 0] != dup.arrays["out_W"][0, 0]
 
 
+def _rows_batch(seqs, cluster_features, labels=None, max_len=100):
+    return make_batch(*stack_rows(seqs), cluster_features, labels, max_len=max_len)
+
+
 class TestMakeBatch:
     def test_pads_and_masks(self):
         rng = np.random.default_rng(0)
         seqs = [rng.normal(size=(4, 5)), rng.normal(size=(2, 5))]
-        batch = make_batch(seqs, np.zeros((2, 0)), [0, 1])
+        batch = _rows_batch(seqs, np.zeros((2, 0)), [0, 1])
         assert batch.embeddings.shape == (2, 4, 5)
         np.testing.assert_array_equal(batch.mask, [[1, 1, 1, 1], [1, 1, 0, 0]])
         np.testing.assert_array_equal(batch.embeddings[1, 2:], 0.0)
@@ -173,20 +177,34 @@ class TestMakeBatch:
 
     def test_truncates_to_max_len(self):
         seqs = [np.ones((30, 3))]
-        batch = make_batch(seqs, np.zeros((1, 0)), max_len=10)
+        batch = _rows_batch(seqs, np.zeros((1, 0)), max_len=10)
         assert batch.embeddings.shape == (1, 10, 3)
         np.testing.assert_array_equal(batch.mask, np.ones((1, 10)))
 
+    def test_repeated_ids_share_a_row(self):
+        matrix = np.arange(12.0).reshape(4, 3)
+        matrix[0] = 0.0
+        ids = [np.array([2, 2, 1]), np.zeros(0, dtype=np.intp)]
+        batch = make_batch(ids, matrix, np.zeros((2, 0)))
+        assert batch.embeddings.shape == (2, 3, 3)
+        np.testing.assert_array_equal(batch.embeddings[0], matrix[[2, 2, 1]])
+        np.testing.assert_array_equal(batch.embeddings[1], 0.0)
+        np.testing.assert_array_equal(batch.mask, [[1, 1, 1], [0, 0, 0]])
+
+    def test_all_empty_is_one_masked_step(self):
+        batch = make_batch([np.zeros(0, dtype=np.intp)], np.zeros((1, 4)), np.zeros((1, 0)))
+        assert batch.embeddings.shape == (1, 1, 4)
+        np.testing.assert_array_equal(batch.mask, [[0.0]])
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_batch([], np.zeros((0, 0)))
-        seqs = [np.ones((2, 3)), np.ones((2, 4))]
+            make_batch([], np.zeros((1, 3)), np.zeros((0, 0)))
+        # Sequences of different embedding dims cannot arise: every id
+        # indexes rows of the one matrix.
         with pytest.raises(ValueError):
-            make_batch(seqs, np.zeros((2, 0)))
+            _rows_batch([np.ones((2, 3))], np.zeros((2, 0)))
         with pytest.raises(ValueError):
-            make_batch([np.ones((2, 3))], np.zeros((2, 0)))
-        with pytest.raises(ValueError):
-            make_batch([np.ones((2, 3))], np.zeros((1, 0)), labels=[0, 1])
+            _rows_batch([np.ones((2, 3))], np.zeros((1, 0)), labels=[0, 1])
 
 
 class TestForward:
@@ -243,7 +261,7 @@ class TestForward:
         params = _small_params(cluster_width=0)
         rng = np.random.default_rng(3)
         seq = rng.normal(size=(2, 16))  # below min_len 3
-        short = make_batch([seq], np.zeros((1, 0)), [0])
+        short = _rows_batch([seq], np.zeros((1, 0)), [0])
         assert short.embeddings.shape[1] == 2
         explicit = Batch(
             embeddings=np.concatenate([seq[None], np.zeros((1, 1, 16))], axis=1),
@@ -520,8 +538,8 @@ class TestPredict:
             pytest.param(_small_params(), _small_batch(batch=6, t=9), id="mixed-lengths"),
             pytest.param(
                 _small_params(),
-                make_batch([np.random.default_rng(n).normal(size=(n, 16)) for n in (1, 2)],
-                           np.ones((2, 5))),
+                _rows_batch([np.random.default_rng(n).normal(size=(n, 16)) for n in (1, 2)],
+                            np.ones((2, 5))),
                 id="shorter-than-widest-kernel",
             ),
             pytest.param(

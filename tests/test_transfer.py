@@ -14,6 +14,7 @@ from tweetxfer.fixtures import (
     raw_from_docs,
     save_comments,
     separable_labeled,
+    stack_rows,
 )
 from tweetxfer.lda import UserClusters
 from tweetxfer.transfer import (
@@ -206,7 +207,7 @@ class TestEncoding:
         assert data.cluster_features.shape == (len(data), 3)
         assert (data.cluster_features == 0).all()
         assert data.labels.dtype == np.int64
-        assert all(s.shape[1] == 6 for s in data.sequences)
+        assert data.matrix.shape[1] == 6
 
     def test_encode_labeled_coarse_and_fine(self):
         tweets = separable_labeled(16, seed=1)
@@ -229,6 +230,52 @@ class TestEncoding:
         data = encode_labeled(tweets, "coarse", _table(), clusters=clusters, cluster_width=3)
         np.testing.assert_array_equal(data.cluster_features[0], [0.0, 1.0, 0.0])
         np.testing.assert_array_equal(data.cluster_features[1], [0.0, 0.0, 0.0])
+
+    def test_id_layout_matches_per_token_batches(self):
+        from tweetxfer.corpus import LabeledTweet
+
+        rng = np.random.default_rng(4)
+        known = {w: rng.normal(size=6) for w in ("haus", "baum", "see")}
+        table = EmbeddingTable(dim=6, word_vectors=known, seed=1)
+        texts = [
+            "haus haus baum @hans",
+            "xyzzy haus plopp xyzzy",
+            "   ",  # tokenizes to nothing
+            " ".join(["see", "baum", "quark", "haus"] * 3),  # longer than max_len
+            "baum",
+        ]
+        tweets = [LabeledTweet(str(i), t, "other", "other") for i, t in enumerate(texts)]
+        clusters = UserClusters(k=2, cluster_of={"hans": 1})
+        data = encode_labeled(tweets, "coarse", table, clusters=clusters, cluster_width=3)
+        tokens = [transfer.tokenize_text(t.text, t.id).tokens for t in tweets]
+        distinct = {tok for toks in tokens for tok in toks}
+        assert data.matrix.shape == (len(distinct) + 1, 6)
+        np.testing.assert_array_equal(data.matrix[0], 0.0)
+        assert all(np.issubdtype(i.dtype, np.integer) for i in data.ids)
+        assert len(data.ids[2]) == 0
+        idx = np.arange(len(data))
+        batch = transfer._batch_from(data, idx, max_len=7)
+        ref = _ref_batch(tokens, table, data.cluster_features, data.labels, max_len=7)
+        assert batch.embeddings.shape == (5, 7, 6)
+        for field in ("embeddings", "mask", "cluster_features", "labels"):
+            np.testing.assert_array_equal(getattr(batch, field), getattr(ref, field))
+
+    def test_encode_task_ids_match_per_token_batches(self):
+        tweets, _ = emoji_tweets(30, seed=2)
+        task = build_emoji_task(tweets)
+        task = transfer.PretrainTask(
+            task.kind, task.examples + ((textprep.TokenizedTweet(()), 0),), task.label_space
+        )
+        table = _table(dim=6)
+        data = encode_task(task, table, cluster_width=2)
+        tokens = [t.tokens for t, _ in task.examples]
+        assert data.matrix.shape == (len({tok for toks in tokens for tok in toks}) + 1, 6)
+        assert data.ids[-1].shape == (0,) and np.issubdtype(data.ids[-1].dtype, np.integer)
+        idx = np.arange(len(data))
+        batch = transfer._batch_from(data, idx, max_len=4)
+        ref = _ref_batch(tokens, table, data.cluster_features, data.labels, max_len=4)
+        for field in ("embeddings", "mask", "cluster_features", "labels"):
+            np.testing.assert_array_equal(getattr(batch, field), getattr(ref, field))
 
     def test_encode_labeled_validation(self):
         tweets = separable_labeled(4, seed=2)
@@ -343,6 +390,23 @@ def _tiny_task(n=24, seed=0):
         for i, (doc, topic) in enumerate(zip(docs, topics))
     )
     return transfer.PretrainTask(kind="topic", examples=examples, label_space=("0", "1"))
+
+
+def _ref_batch(token_lists, table, cluster_features, labels, max_len):
+    """The per-token layout that token ids replaced: each tweet's stacked
+    vectors, copied row by row into a zero-padded batch."""
+    sequences = [table.embed_tokens(tokens)[:max_len] for tokens in token_lists]
+    t_max = max(1, max(len(s) for s in sequences))
+    emb = np.zeros((len(sequences), t_max, table.dim))
+    mask = np.zeros((len(sequences), t_max))
+    for i, s in enumerate(sequences):
+        emb[i, : len(s)] = s
+        mask[i, : len(s)] = 1.0
+    return net.Batch(
+        embeddings=emb, mask=mask,
+        cluster_features=np.asarray(cluster_features, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.int64),
+    )
 
 
 def _tiny_params(n_classes, cluster_width, seed):
@@ -544,7 +608,9 @@ class TestFinetune:
 
     def test_empty_datasets_rejected(self):
         train, valid = self._datasets()
-        empty = transfer.EncodedDataset((), np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
+        empty = transfer.EncodedDataset(
+            (), np.zeros((1, 12)), np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
+        )
         with pytest.raises(DataError):
             finetune(_tiny_params(2, 0, 0), make_schedule("none", 1), empty, valid)
         with pytest.raises(DataError):
@@ -564,35 +630,88 @@ class TestPredictDataset:
         singles = []
         for i in range(len(data)):
             batch = net.make_batch(
-                [data.sequences[i]], data.cluster_features[i : i + 1],
+                [data.ids[i]], data.matrix, data.cluster_features[i : i + 1],
                 data.labels[i : i + 1],
             )
             singles.append(int(net.predict(params, batch)[0]))
         np.testing.assert_array_equal(preds, singles)
 
-    @pytest.mark.parametrize("batch_size", [1, 3, 256])
+    @pytest.mark.parametrize("batch_size", [1, 3, 64, 256])
     def test_mixed_lengths_come_back_in_input_order(self, batch_size):
         rng = np.random.default_rng(5)
         n = 24
+        rows = [rng.normal(0.0, 1.0, (int(k), 12)) for k in rng.integers(1, 16, n)]
+        ids, matrix = stack_rows(rows)
         data = transfer.EncodedDataset(
-            sequences=tuple(rng.normal(0.0, 1.0, (int(k), 12)) for k in rng.integers(1, 16, n)),
+            ids=tuple(ids),
+            matrix=matrix,
             cluster_features=(rng.random((n, 3)) < 0.4).astype(np.float64),
             labels=np.zeros(n, dtype=np.int64),
         )
         params = _tiny_params(3, 3, 4)
         singles = [
-            int(net.predict(params, net.make_batch([s], f[None]))[0])
-            for s, f in zip(data.sequences, data.cluster_features)
+            int(net.predict(params, net.make_batch([s], data.matrix, f[None]))[0])
+            for s, f in zip(data.ids, data.cluster_features)
         ]
         assert len(set(singles)) > 1
         np.testing.assert_array_equal(predict_dataset(params, data, batch_size=batch_size), singles)
 
         perm = rng.permutation(n)
         shuffled = transfer.EncodedDataset(
-            sequences=tuple(data.sequences[i] for i in perm),
+            ids=tuple(data.ids[i] for i in perm),
+            matrix=data.matrix,
             cluster_features=data.cluster_features[perm],
             labels=data.labels[perm],
         )
         back = np.empty(n, dtype=np.int64)
         back[perm] = predict_dataset(params, shuffled, batch_size=batch_size)
         np.testing.assert_array_equal(back, singles)
+
+    def test_batch_size_does_not_change_probabilities(self):
+        # Mixed lengths, with a tweet of no tokens and one past max_len.
+        params, data = self._random_dataset([(1, 26, 298), (0, 1, 1), (40, 41, 1)])
+        wide = _length_sorted_probs(params, data, 256)
+        np.testing.assert_array_equal(_length_sorted_probs(params, data, 64), wide)
+        # numpy sends one-row products to gemv, which rounds differently
+        # from gemm, so a batch of one agrees only to the last bits.
+        singles = _length_sorted_probs(params, data, 1)
+        np.testing.assert_allclose(singles, wide, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(singles.argmax(axis=1), wide.argmax(axis=1))
+
+    def test_batches_padded_to_one_window_agree_to_the_last_bits(self):
+        # 80 tweets no longer than the widest kernel fill whole sorted
+        # batches of 64, padded so that kernel has one window; numpy then
+        # computes each tweet's window product with gemv, not gemm.
+        params, data = self._random_dataset([(1, 4, 80), (4, 26, 220)])
+        wide = _length_sorted_probs(params, data, 256)
+        narrow = _length_sorted_probs(params, data, 64)
+        np.testing.assert_allclose(narrow, wide, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(narrow.argmax(axis=1), wide.argmax(axis=1))
+
+    @staticmethod
+    def _random_dataset(length_ranges, vocab=40):
+        """Tiny params and a dataset of random ids; each (low, high, count)
+        adds ``count`` tweets with lengths drawn from [low, high)."""
+        rng = np.random.default_rng(6)
+        lengths = np.concatenate([rng.integers(lo, hi, n) for lo, hi, n in length_ranges])
+        rng.shuffle(lengths)
+        matrix = rng.normal(0.0, 1.0, (vocab + 1, 12))
+        matrix[0] = 0.0
+        data = transfer.EncodedDataset(
+            ids=tuple(rng.integers(1, vocab + 1, k) for k in lengths),
+            matrix=matrix,
+            cluster_features=(rng.random((len(lengths), 3)) < 0.4).astype(np.float64),
+            labels=np.zeros(len(lengths), dtype=np.int64),
+        )
+        return _tiny_params(3, 3, 4), data
+
+
+def _length_sorted_probs(params, data, batch_size, max_len=20):
+    """Eval probabilities in input order, from batches formed as
+    ``predict_dataset`` forms them."""
+    order = np.argsort([len(s) for s in data.ids], kind="stable")
+    probs = np.empty((len(data), params.n_classes))
+    for start in range(0, len(data), batch_size):
+        idx = order[start : start + batch_size]
+        probs[idx] = net.forward(params, transfer._batch_from(data, idx, max_len), mode="eval")[0]
+    return probs

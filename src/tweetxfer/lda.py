@@ -281,6 +281,12 @@ def save_clusters(clusters: UserClusters, path: str) -> None:
             fh.write(f"{user}\t{clusters.cluster_of[user]}\n")
 
 
+def _ascii_int(text: str) -> int | None:
+    """The value of a string of ASCII digits, else None: ``isdigit`` alone
+    passes "²", and ``int`` takes "٣" and " +2"."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def load_clusters(path: str) -> UserClusters:
     cluster_of: dict[str, int] = {}
     k: int | None = None
@@ -291,17 +297,22 @@ def load_clusters(path: str) -> UserClusters:
                 continue
             fields = line.split("\t")
             if fields[0] == "#k":
-                # isdigit alone passes "²", which int() rejects.
-                if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
+                if k is not None:
+                    raise DataError(f"{path}:{lineno}: second cluster count header")
+                k = _ascii_int(fields[1]) if len(fields) == 2 else None
+                if k is None:
                     raise DataError(f"{path}:{lineno}: bad cluster count header")
-                k = int(fields[1])
                 continue
             if len(fields) != 2:
                 raise DataError(f"{path}:{lineno}: expected 'user<TAB>cluster'")
-            try:
-                cluster_of[fields[0]] = int(fields[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: cluster id is not an integer") from None
+            user, cluster = fields[0], _ascii_int(fields[1])
+            if not user:
+                raise DataError(f"{path}:{lineno}: empty user name")
+            if user in cluster_of:
+                raise DataError(f"{path}:{lineno}: user {user!r} listed twice")
+            if cluster is None:
+                raise DataError(f"{path}:{lineno}: cluster id must be ASCII digits")
+            cluster_of[user] = cluster
     if k is None:
         raise DataError(f"{path}: missing '#k' header line")
     bad = [u for u, c in cluster_of.items() if not 0 <= c < k]

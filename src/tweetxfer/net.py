@@ -6,8 +6,9 @@ convolution blocks, 3 = the hidden dense layer, 4 = the prediction
 layer.  A freeze mask names the trainable groups; only their arrays get
 gradients, optimizer moments and updates.
 
-``predict`` runs the same forward pass but keeps no backward trace, so
-it holds only one kernel's activations at a time.
+``forward`` keeps the trace that ``backward`` reads in train mode only.
+Eval mode keeps none, so it holds only one kernel's activations at a
+time; train mode with dropout 0 gives eval's probabilities bit for bit.
 
 Input batches carry per-token embedding rows, gathered by ``make_batch``
 from token ids into one embedding matrix, plus a 0/1 validity mask.
@@ -254,12 +255,12 @@ class _LstmTrace:
     # The i, f, g, o gate activations live side by side in one (B, T, 4H)
     # buffer because a single tanh over the (B, 4H) pre-activation yields
     # all four at once; backward slices the blocks it needs.  This takes
-    # the same memory as four (B, T, H) arrays.
+    # the same memory as four (B, T, H) arrays.  ``c_out`` and ``h_out``
+    # hold the state after each step, so step t - 1's are step t's inputs.
     # Without a trace only ``h_out`` is kept; the other fields are None.
     gates: np.ndarray | None
     tanh_c: np.ndarray | None
-    h_prev: np.ndarray | None
-    c_prev: np.ndarray | None
+    c_out: np.ndarray | None
     h_out: np.ndarray
 
 
@@ -269,15 +270,14 @@ def _lstm_direction(
     W: np.ndarray,
     U: np.ndarray,
     b: np.ndarray,
-    reverse: bool,
     keep_trace: bool,
 ) -> _LstmTrace:
+    """One direction, left to right; the backward one runs on time-flipped views."""
     B, T, _ = x.shape
     H = U.shape[0]
-    order = range(T - 1, -1, -1) if reverse else range(T)
     h = np.zeros((B, H))
     c = np.zeros((B, H))
-    kept = [np.zeros((B, T, n)) for n in (4 * H, H, H, H)] if keep_trace else [None] * 4
+    kept = [np.zeros((B, T, n)) for n in (4 * H, H, H)] if keep_trace else [None] * 3
     tr = _LstmTrace(*kept, h_out=np.zeros((B, T, H)))
     # sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh serves all four gates:
     # halve the i, f, o pre-activations, then map each t to scale * t + shift.
@@ -287,11 +287,8 @@ def _lstm_direction(
     scale[2 * H : 3 * H] = 1.0
     shift = 1.0 - scale
     Ws, Us, bs = W * scale, U * scale, b * scale
-    for t in order:
+    for t in range(T):
         m = eff[:, t : t + 1]
-        if keep_trace:
-            tr.h_prev[:, t] = h
-            tr.c_prev[:, t] = c
         z = x[:, t] @ Ws
         z += h @ Us
         z += bs
@@ -307,6 +304,8 @@ def _lstm_direction(
         # sequence's end never alters it.
         c = m * c_new + (1.0 - m) * c
         h = m * h_new + (1.0 - m) * h
+        if keep_trace:
+            tr.c_out[:, t] = c
         tr.h_out[:, t] = h
     return tr
 
@@ -318,17 +317,18 @@ def _lstm_direction_backward(
     U: np.ndarray,
     tr: _LstmTrace,
     d_out: np.ndarray,
-    reverse: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     B, T, _ = x.shape
     H = U.shape[0]
-    order = range(T - 1, -1, -1) if reverse else range(T)
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
     db = np.zeros(4 * H)
     dh_carry = np.zeros((B, H))
     dc_carry = np.zeros((B, H))
-    for t in reversed(list(order)):
+    start = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        h_prev = tr.h_out[:, t - 1] if t else start
+        c_prev = tr.c_out[:, t - 1] if t else start
         m = eff[:, t : t + 1]
         dh_total = d_out[:, t] + dh_carry
         dh_new = m * dh_total
@@ -339,7 +339,7 @@ def _lstm_direction_backward(
         tanh_c = tr.tanh_c[:, t]
         d_o = dh_new * tanh_c
         dc_new = dc_new + dh_new * o * (1.0 - tanh_c**2)
-        d_f = dc_new * tr.c_prev[:, t]
+        d_f = dc_new * c_prev
         d_i = dc_new * g
         d_g = dc_new * i
         dc_prev = dc_prev + dc_new * f
@@ -353,7 +353,7 @@ def _lstm_direction_backward(
             axis=1,
         )
         dW += x[:, t].T @ dz
-        dU += tr.h_prev[:, t].T @ dz
+        dU += h_prev.T @ dz
         db += dz.sum(axis=0)
         dh_carry = dh_prev + dz @ U.T
         dc_carry = dc_prev
@@ -362,11 +362,9 @@ def _lstm_direction_backward(
 
 @dataclass
 class _ConvTrace:
-    pre: np.ndarray  # (B, P, filters)
     arg: np.ndarray  # (B, filters) winning position per filter
-    pooled: np.ndarray  # (B, filters) before dropout
+    top: np.ndarray  # (B, filters) pre-activation at ``arg``
     pool_mask: np.ndarray | None
-    pooled_drop: np.ndarray
 
 
 @dataclass
@@ -397,16 +395,14 @@ def forward(
     mode: str = "train",
     dropout_seed: int = 0,
     dropout: float = 0.5,
-    *,
-    _keep_trace: bool = True,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network; returns class probabilities and ``backward``'s cache.
 
     Train mode applies inverted dropout to the BiLSTM output sequence
     and to each pooled convolution vector, with masks drawn from
-    ``dropout_seed`` in a fixed order.  Eval mode is deterministic.
-    ``predict`` passes the private ``_keep_trace=False``, which gives the
-    same probabilities bit for bit and None in place of the cache.
+    ``dropout_seed`` in a fixed order, and returns the cache.  Eval mode
+    is deterministic and keeps no trace: its cache is None.  Train mode
+    with ``dropout=0.0`` gives eval's probabilities bit for bit.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -442,16 +438,13 @@ def forward(
         for k in params.kernels:
             pool_masks[k] = (rng.random((B, params.filters)) < keep) / keep
 
-    fw = _lstm_direction(
-        emb, eff, params.arrays["lstm_fw_W"], params.arrays["lstm_fw_U"],
-        params.arrays["lstm_fw_b"], reverse=False, keep_trace=_keep_trace,
+    traced = mode == "train"
+    fw, bw = (
+        _lstm_direction(x, e, *(params.arrays[f"lstm_{d}_{n}"] for n in "WUb"), traced)
+        for d, x, e in (("fw", emb, eff), ("bw", emb[:, ::-1], eff[:, ::-1]))
     )
-    bw = _lstm_direction(
-        emb, eff, params.arrays["lstm_bw_W"], params.arrays["lstm_bw_U"],
-        params.arrays["lstm_bw_b"], reverse=True, keep_trace=_keep_trace,
-    )
-    h_cat = np.concatenate([fw.h_out, bw.h_out], axis=2)
-    if not _keep_trace:
+    h_cat = np.concatenate([fw.h_out, bw.h_out[:, ::-1]], axis=2)
+    if not traced:
         fw = bw = None  # only the cache reads them again
     h_drop = h_cat * lstm_mask if lstm_mask is not None else h_cat
 
@@ -465,18 +458,15 @@ def forward(
         valid = (positions[:p][None, :] + k) <= lengths[:, None]
         # Leaky ReLU is monotone, so pooling before it picks the same value
         # bit for bit.  Masking in place keeps signed zeros (adding 0/-inf
-        # would not); backward sees -inf only where the gradient is zero.
+        # would not).
         pre[~valid] = -np.inf
         arg = pre.argmax(axis=1)
-        pooled = _leaky(np.take_along_axis(pre, arg[:, None, :], axis=1)[:, 0], params.leaky_slope)
-        pool_mask = pool_masks.get(k)
-        pooled_drop = pooled * pool_mask if pool_mask is not None else pooled
-        if _keep_trace:
-            conv[k] = _ConvTrace(
-                pre=pre, arg=arg, pooled=pooled, pool_mask=pool_mask, pooled_drop=pooled_drop,
-            )
+        top = np.take_along_axis(pre, arg[:, None, :], axis=1)[:, 0]
         del cols, pre
-        pooled_parts.append(pooled_drop)
+        pooled = _leaky(top, params.leaky_slope)
+        pool_mask = pool_masks.get(k)
+        pooled_parts.append(pooled * pool_mask if pool_mask is not None else pooled)
+        conv[k] = _ConvTrace(arg=arg, top=top, pool_mask=pool_mask)
 
     z = np.concatenate(pooled_parts + [batch.cluster_features], axis=1)
     a_pre = z @ params.arrays["dense_W"] + params.arrays["dense_b"]
@@ -486,7 +476,7 @@ def forward(
     cache = ForwardCache(
         params=params, emb=emb, eff=eff, fw=fw, bw=bw, lstm_mask=lstm_mask,
         h_drop=h_drop, conv=conv, z=z, a_pre=a_pre, a=a, probs=probs,
-    ) if _keep_trace else None
+    ) if traced else None
     return probs, cache
 
 
@@ -499,14 +489,16 @@ def loss(probs: np.ndarray, labels: np.ndarray) -> float:
 def backward(
     params: NetworkParams,
     batch: Batch,
-    cache: ForwardCache,
+    cache: ForwardCache | None,
     freeze: FreezeMask = ALL_LAYERS,
 ) -> dict[str, np.ndarray]:
     """Gradients of the mean cross-entropy for the trainable arrays only.
 
-    Frozen arrays are absent.  The cache must come from a forward pass
-    over these same params.
+    Frozen arrays are absent.  The cache must come from a train-mode
+    forward pass over these same params.
     """
+    if cache is None:
+        raise ValueError("backward needs a train-mode forward's cache; eval keeps none")
     if cache.params is not params:
         raise ValueError("cache was built from different params")
     if batch.labels is None:
@@ -537,10 +529,10 @@ def backward(
         d_pooled = (
             d_pooled_drop * tr.pool_mask if tr.pool_mask is not None else d_pooled_drop
         )
-        p = tr.pre.shape[1]
-        dact = np.zeros((B, p, params.filters))
-        np.put_along_axis(dact, tr.arg[:, None, :], d_pooled[:, None, :], axis=1)
-        dpre = dact * _leaky_grad(tr.pre, slope)
+        p = cache.h_drop.shape[1] - k + 1
+        dpre = np.zeros((B, p, params.filters))
+        d_top = d_pooled * _leaky_grad(tr.top, slope)
+        np.put_along_axis(dpre, tr.arg[:, None, :], d_top[:, None, :], axis=1)
         cols = _windows(cache.h_drop, k)
         grads[f"conv{k}_W"] = np.einsum("bpi,bpf->if", cols, dpre)
         grads[f"conv{k}_b"] = dpre.sum(axis=(0, 1))
@@ -550,12 +542,13 @@ def backward(
 
     d_h_cat = d_h_drop * cache.lstm_mask if cache.lstm_mask is not None else d_h_drop
     H = params.hidden
-    for direction, tr, rev in (("fw", cache.fw, False), ("bw", cache.bw, True)):
+    for direction, tr, x, eff, d_out in (
+        ("fw", cache.fw, cache.emb, cache.eff, d_h_cat[:, :, :H]),
+        ("bw", cache.bw, cache.emb[:, ::-1], cache.eff[:, ::-1], d_h_cat[:, ::-1, H:]),
+    ):
         dW, dU, db = _lstm_direction_backward(
-            cache.emb, cache.eff,
-            params.arrays[f"lstm_{direction}_W"], params.arrays[f"lstm_{direction}_U"],
-            tr, d_h_cat[:, :, :H] if direction == "fw" else d_h_cat[:, :, H:],
-            reverse=rev,
+            x, eff, params.arrays[f"lstm_{direction}_W"], params.arrays[f"lstm_{direction}_U"],
+            tr, d_out,
         )
         grads[f"lstm_{direction}_W"] = dW
         grads[f"lstm_{direction}_U"] = dU
@@ -638,7 +631,7 @@ def step(
 
 def predict(params: NetworkParams, batch: Batch) -> np.ndarray:
     """Eval-mode class predictions, ties to the lowest class id; keeps no trace."""
-    probs, _ = forward(params, batch, mode="eval", _keep_trace=False)
+    probs, _ = forward(params, batch, mode="eval")
     return probs.argmax(axis=1)
 
 
@@ -649,18 +642,22 @@ def gradient_check(
     eps: float = 1e-5,
     samples_per_array: int = 8,
     seed: int = 0,
-    mode: str = "train",
+    dropout: float = 0.5,
     dropout_seed: int = 0,
 ) -> float:
     """Largest relative error between analytic and central-difference grads.
 
-    Checks a random sample of indices in every trainable array.  The
-    relative error denominator is floored at 1e-6 so finite-difference
-    cancellation noise on near-zero gradients does not register.
+    Every forward is a train-mode one with the same dropout masks;
+    ``dropout=0.0`` checks the eval network, whose probabilities it gives
+    bit for bit.  Checks a random sample of indices in every trainable
+    array.  The relative error denominator is floored at 1e-6 so
+    finite-difference cancellation noise on near-zero gradients does not
+    register.
     """
     if batch.labels is None:
         raise ValueError("gradient check needs labels")
-    probs, cache = forward(params, batch, mode=mode, dropout_seed=dropout_seed)
+    drop = dict(dropout_seed=dropout_seed, dropout=dropout)
+    probs, cache = forward(params, batch, **drop)
     grads = backward(params, batch, cache, freeze)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -672,9 +669,9 @@ def gradient_check(
             ij = np.unravel_index(i, arr.shape)
             orig = arr[ij]
             arr[ij] = orig + eps
-            up = loss(forward(params, batch, mode=mode, dropout_seed=dropout_seed)[0], batch.labels)
+            up = loss(forward(params, batch, **drop)[0], batch.labels)
             arr[ij] = orig - eps
-            down = loss(forward(params, batch, mode=mode, dropout_seed=dropout_seed)[0], batch.labels)
+            down = loss(forward(params, batch, **drop)[0], batch.labels)
             arr[ij] = orig
             numeric = (up - down) / (2.0 * eps)
             analytic = grad[ij]

@@ -131,23 +131,14 @@ def remove_emoji(text: str) -> str:
     return _EMOJI_SYMBOL.sub("", text)
 
 
-def load_stopwords(path: str | None = None) -> frozenset[str]:
-    """Load a stopword list, one word per line, UTF-8, lowercased.
+def load_stopwords() -> frozenset[str]:
+    """The bundled German stopword list, lowercased.
 
-    Without a path the bundled German list is used.  Blank lines and
-    lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped.
     """
-    if path is None:
-        text = (
-            resources.files("tweetxfer")
-            .joinpath("data/stopwords_de.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    bundled = resources.files("tweetxfer").joinpath("data/stopwords_de.txt")
     words = set()
-    for line in text.splitlines():
+    for line in bundled.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             words.add(line.lower())

@@ -326,7 +326,7 @@ def test_dropout_scaling():
         2, 0, seed=3, embed_dim=16, hidden=8, filters=6, dense=10, kernels=(2, 3)
     )
     batch = toy_batch(n_classes=2, cluster_width=0, batch=3, t=7, embed_dim=16, seed=3)
-    _, ev = net.forward(params, batch, mode="eval")
+    _, ev = net.forward(params, batch, mode="train", dropout=0.0)
     n = 10_000
     sum_h = 0.0
     sum_drop = {k: 0.0 for k in params.kernels}
@@ -334,9 +334,10 @@ def test_dropout_scaling():
     for seed in range(n):
         _, cache = net.forward(params, batch, mode="train", dropout_seed=seed, dropout=0.5)
         sum_h = sum_h + cache.h_drop
-        for k in params.kernels:
-            sum_drop[k] = sum_drop[k] + cache.conv[k].pooled_drop
-            sum_pool[k] = sum_pool[k] + cache.conv[k].pooled
+        # z holds each kernel's dropped pooled vector, in kernel order.
+        for j, k in enumerate(params.kernels):
+            sum_drop[k] = sum_drop[k] + cache.z[:, j * params.filters : (j + 1) * params.filters]
+            sum_pool[k] = sum_pool[k] + net._leaky(cache.conv[k].top, params.leaky_slope)
     # The recurrent output is dropped first, so its eval activation is the
     # reference; each pooled vector is compared to its own pre-dropout
     # input, averaged over the upstream masks it already contains.

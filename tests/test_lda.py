@@ -353,6 +353,28 @@ class TestPersistence:
         with pytest.raises(DataError, match=message):
             load_clusters(str(path))
 
+    @pytest.mark.parametrize(
+        "line,problem",
+        [
+            ("uA\t٣", "cluster id must be ASCII digits"),
+            ("uA\t +2", "cluster id must be ASCII digits"),
+            ("uA\t-1", "cluster id must be ASCII digits"),
+            ("\t1", "empty user name"),
+            ("uB\t1", "user 'uB' listed twice"),
+            ("#k\t4", "second cluster count header"),
+        ],
+        ids=[
+            "arabic-indic-digit", "padded-sign", "negative", "empty-user", "duplicate-user",
+            "second-header",
+        ],
+    )
+    def test_cluster_lines_rejected(self, tmp_path, line, problem):
+        path = tmp_path / "c.tsv"
+        path.write_text(f"#k\t4\nuB\t0\n{line}\n", encoding="utf-8")
+        message = f"^{re.escape(str(path))}:3: {re.escape(problem)}$"
+        with pytest.raises(DataError, match=message):
+            load_clusters(str(path))
+
 
 def _reference_train(docs, k, alpha, beta, iterations, seed):
     """The per-token numpy sampler the sweep kernel replaced: (n_tw, n_t)."""

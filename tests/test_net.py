@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -237,7 +240,7 @@ class TestForward:
         batch = _small_batch()
         train, _ = forward(params, batch, mode="train", dropout=0.0)
         ev, _ = forward(params, batch, mode="eval")
-        np.testing.assert_array_equal(train, ev)
+        assert train.tobytes() == ev.tobytes()
 
     def test_extra_padding_changes_nothing(self):
         """Masked frames appended on the right leave eval output intact."""
@@ -332,9 +335,11 @@ class TestLstmCell:
         b = rng.normal(size=4 * H)
         for reverse in (False, True):
             expected = _reference_lstm(x, eff, W, U, b, reverse)
+            # The backward direction runs left to right on time-flipped views.
+            flip = slice(None, None, -1) if reverse else slice(None)
             for keep_trace in (True, False):
-                tr = net._lstm_direction(x, eff, W, U, b, reverse, keep_trace)
-                np.testing.assert_allclose(tr.h_out, expected, rtol=0, atol=1e-12)
+                tr = net._lstm_direction(x[:, flip], eff[:, flip], W, U, b, keep_trace)
+                np.testing.assert_allclose(tr.h_out[:, flip], expected, rtol=0, atol=1e-12)
 
     def test_saturated_gates_stay_finite(self):
         """Huge inputs saturate every gate without overflow or underflow."""
@@ -370,7 +375,7 @@ class TestGradients:
     def test_analytic_matches_central_differences_eval(self):
         params = _small_params(seed=1)
         batch = _small_batch(seed=1)
-        err = gradient_check(params, batch, samples_per_array=6, seed=0, mode="eval")
+        err = gradient_check(params, batch, samples_per_array=6, seed=0, dropout=0.0)
         assert err < 1e-4
 
     def test_analytic_matches_central_differences_train(self):
@@ -378,7 +383,7 @@ class TestGradients:
         params = _small_params(seed=2)
         batch = _small_batch(seed=2)
         err = gradient_check(
-            params, batch, samples_per_array=6, seed=0, mode="train", dropout_seed=3
+            params, batch, samples_per_array=6, seed=0, dropout_seed=3
         )
         assert err < 1e-4
 
@@ -388,7 +393,7 @@ class TestGradients:
         for layer in (1, 2, 3, 4):
             err = gradient_check(
                 params, batch, freeze=FreezeMask.of(layer),
-                samples_per_array=5, seed=layer, mode="train", dropout_seed=1,
+                samples_per_array=5, seed=layer, dropout_seed=1,
             )
             assert err < 1e-4, f"layer {layer}"
 
@@ -409,6 +414,13 @@ class TestGradients:
         with pytest.raises(ValueError):
             backward(params.copy(), batch, cache)
 
+    def test_eval_cache_rejected(self):
+        params = _small_params()
+        batch = _small_batch()
+        _, cache = forward(params, batch, mode="eval")
+        with pytest.raises(ValueError, match="train-mode"):
+            backward(params, batch, cache)
+
     def test_labels_required(self):
         params = _small_params()
         batch = _small_batch()
@@ -418,6 +430,103 @@ class TestGradients:
             backward(params, unlabeled, cache)
         with pytest.raises(ValueError):
             gradient_check(params, unlabeled)
+
+
+def _pinned_case(case):
+    """Params and a labelled batch of mixed lengths with one sequence below
+    the widest kernel: the small test net, or the paper's sizes at B=4."""
+    if case == "small":
+        rng = np.random.default_rng(13)
+        seqs = [rng.normal(0.0, 0.5, (n, 16)) for n in (9, 4, 1, 7, 2)]
+        feats = (rng.random((5, 5)) < 0.4).astype(np.float64)
+        return _small_params(seed=13), _rows_batch(seqs, feats, [0, 2, 1, 1, 0])
+    return init_params(2, 51, seed=5), toy_batch(cluster_width=51, batch=4, t=12, seed=5)
+
+
+def _sha(arrays):
+    digest = hashlib.sha256()
+    for name, arr in arrays.items():
+        digest.update(name.encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+_MASKS = {
+    "g1234": ALL_LAYERS, "g1": FreezeMask.of(1), "g2": FreezeMask.of(2),
+    "g3": FreezeMask.of(3), "g4": FreezeMask.of(4),
+}
+
+
+def _pinned_digests():
+    """Digest of each case's eval probabilities and of the gradients under
+    every mask, with dropout 0.5 and 0.0."""
+    out = {}
+    for case in ("small", "paper_b4"):
+        params, batch = _pinned_case(case)
+        out[f"{case}/eval"] = _sha({"probs": forward(params, batch, mode="eval")[0]})
+        for dropout in (0.5, 0.0):
+            _, cache = forward(params, batch, mode="train", dropout_seed=2, dropout=dropout)
+            for mask, freeze in _MASKS.items():
+                out[f"{case}/{dropout}/{mask}"] = _sha(backward(params, batch, cache, freeze))
+    return out
+
+
+_PINNED = {
+    "small/eval": "e062fb3a87c57ec7c5c86ebfa5a146e3688fd51d80ca5addbeeef014236073b0",
+    "small/0.5/g1234": "c15b32162e7e4d501ca8a19265776e5622ae3de775a00d3316837da0d004847b",
+    "small/0.5/g1": "3ebe6e6d3a35f0ede449a85b12d6f2cbc44c870d9e79b00e122d187f0e199a3a",
+    "small/0.5/g2": "2a380c0e3e8253a63647ff6740cf5094a3c76b0833252babe39e68da0f3f5fc4",
+    "small/0.5/g3": "6d3f87d8b7f0c97bb44a43eba9a7b5a4f4e3534b55908625626acbeb1d8f20e4",
+    "small/0.5/g4": "7636bbbcba4ce22b031ea25ca12533fd1db32d1d4093c43c7945296b01d1d3ff",
+    "small/0.0/g1234": "d18c553395be884814b12ee29ad29bad35fc2d851fe9f60fa4dc138aa82c833c",
+    "small/0.0/g1": "48f7be87885b14ed8a0594d9c0e9b55bd77e84e62a51b192b4ce0ffc275f530e",
+    "small/0.0/g2": "025b7ae7b740972f885614724c44c0ece102f9dc63c155857be5803de1f23bb0",
+    "small/0.0/g3": "61f85177195ddf2db8c1624d95b944c8709038ae5665e97f8c0945459fa4c222",
+    "small/0.0/g4": "6c96f007ab51404c3f00f86a8d88403e61321eaf16b96b790c5c538c8f05225a",
+    "paper_b4/eval": "f94486456e79d79bbe0ac96140aaf0bc69024e40a547340468b0a431b4d9c069",
+    "paper_b4/0.5/g1234": "e5ccbe3288ca691b9f6576c8e48b247ec8c323d598ac5928d5b316c702fc30a6",
+    "paper_b4/0.5/g1": "52ac084d349da18f8ed8c569e1dd1e962af4367eb17c13698d272882a3dbafe6",
+    "paper_b4/0.5/g2": "8c747b10fabca67833290ee65c84be63d37dfa413195a8c1d34bcbf787e92c5a",
+    "paper_b4/0.5/g3": "c7073dfaf88ccda36cc532696de2696df9ea715a966831142265b6e2d892f4f8",
+    "paper_b4/0.5/g4": "fc28ec02515178fad945b308a7531b06019328c59357d88253406d6a831b7ff7",
+    "paper_b4/0.0/g1234": "6cf5b08e55b5a27200f142e74d1d737ea994c9087952f66b7e2dc02754e30b5b",
+    "paper_b4/0.0/g1": "d47e61e40eef864572e6337c6e5a71b35cc988ca4e1988a49d74bd05851e7f2c",
+    "paper_b4/0.0/g2": "6463b5d8418098587ccb62c073ba984e8ef3816ed7daac12f9a60c3febb6e5d0",
+    "paper_b4/0.0/g3": "35173b33878c76d9a785cd470d35339fb85aac4acc1dce9cb7b9c181d06f3f03",
+    "paper_b4/0.0/g4": "403088cef565fe7c8e264f24e643b409d714758c19c94e6ac580a522195e94f3",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_digests():
+    """``_pinned_digests`` from a fresh interpreter with one BLAS thread:
+    at paper sizes OpenBLAS rounds differently with more threads."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(net.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import json, sys\nsys.path.insert(0, sys.argv[1])\nimport test_net\n"
+        "print(json.dumps(test_net._pinned_digests()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, tests], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestPinnedOutputs:
+    """Eval probabilities and every gradient array, byte for byte, signed
+    zeros included, on mixed lengths with one sequence below the widest
+    kernel.  Recorded before the training trace was cut down to what
+    ``backward`` reads, with OpenBLAS 0.3.31 on x86-64; other BLAS builds
+    may round differently in the last bits."""
+
+    @pytest.mark.parametrize("key", list(_PINNED))
+    def test_matches_recorded_digest(self, pinned_digests, key):
+        assert pinned_digests[key] == _PINNED[key]
 
 
 def _nadam_scalar_reference(x0, grads, lr, beta1=0.99, beta2=0.999, eps=1e-8, psi=0.004):
@@ -553,10 +662,11 @@ class TestPredict:
         ],
     )
     def test_trace_free_forward_is_bit_identical(self, params, batch):
-        traced, cache = forward(params, batch, mode="eval")
-        free, none = forward(params, batch, mode="eval", _keep_trace=False)
+        """Eval keeps no trace and matches a traced forward without dropout."""
+        traced, cache = forward(params, batch, mode="train", dropout=0.0)
+        free, none = forward(params, batch, mode="eval")
         assert cache is not None and none is None
-        np.testing.assert_array_equal(free, traced)
+        assert free.tobytes() == traced.tobytes()
         np.testing.assert_array_equal(predict(params, batch), traced.argmax(axis=1))
 
     @pytest.mark.parametrize("batch,t", [(64, 20), (8, 7)])
@@ -572,7 +682,7 @@ class TestPredict:
             finally:
                 tracemalloc.stop()
 
-        traced = peak(lambda: forward(params, data, mode="eval"))
+        traced = peak(lambda: forward(params, data, mode="train", dropout=0.0))
         assert peak(lambda: predict(params, data)) < 0.5 * traced
 
 

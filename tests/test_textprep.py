@@ -307,11 +307,6 @@ class TestStopwords:
         assert "und" in words and "nicht" in words
         assert all(w == w.lower() for w in words)
 
-    def test_load_from_path(self, tmp_path):
-        p = tmp_path / "stop.txt"
-        p.write_text("# comment\nFoo\nbar\n\n", encoding="utf-8")
-        assert textprep.load_stopwords(str(p)) == frozenset({"foo", "bar"})
-
 
 class TestMeaningfulTokens:
     def test_drops_placeholders_punct_emoji_stopwords(self):

@@ -133,15 +133,19 @@ def load_raw(path: str) -> list[RawTweet]:
             if tid in seen:
                 raise DataError(f"{path}:{lineno}: duplicate id {tid!r}")
             seen.add(tid)
-            tweets.append(
-                RawTweet(
-                    id=tid,
-                    text=text,
-                    mentions=tuple(extract_mentions(text)),
-                    emojis=tuple(dict.fromkeys(textprep.emoji_symbols(text))),
-                )
-            )
+            tweets.append(raw_tweet(tid, text))
     return tweets
+
+
+def raw_tweet(tid: str, text: str) -> RawTweet:
+    """A tweet with its mentions, in order, and its distinct emoji, in
+    first-seen order, extracted from ``text``."""
+    return RawTweet(
+        id=tid,
+        text=text,
+        mentions=tuple(extract_mentions(text)),
+        emojis=tuple(dict.fromkeys(textprep.emoji_symbols(text))),
+    )
 
 
 def save_raw(tweets: list[RawTweet], path: str) -> None:

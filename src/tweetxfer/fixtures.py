@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from . import corpus, net, textprep
+from . import corpus, net
 from .corpus import LabeledTweet, RawTweet
 from .transfer import CommentAnnotation, CommentRecord, tokenize_text
 
@@ -153,11 +153,8 @@ def clique_mentions(
         size = int(rng.integers(2, 5))
         members = rng.choice(users_per_clique, size=size, replace=False)
         mentions = " ".join("@" + users[clique][m] for m in members)
-        tweets.append(RawTweet(
-            id=str(i + 1),
-            text=f"{mentions} treffen {_letters(int(rng.integers(0, 400)))}",
-            mentions=tuple(users[clique][m] for m in members),
-        ))
+        text = f"{mentions} treffen {_letters(int(rng.integers(0, 400)))}"
+        tweets.append(corpus.raw_tweet(str(i + 1), text))
     return tweets, truth
 
 
@@ -195,12 +192,7 @@ def emoji_tweets(
             emo = [EMOJI_PALETTE[p] for p in picks]
             expected += len(set(emo))
             text = words + " " + "".join(emo)
-        tweets.append(RawTweet(
-            id=str(i + 1),
-            text=text,
-            mentions=tuple(corpus.extract_mentions(text)),
-            emojis=tuple(dict.fromkeys(textprep.emoji_symbols(text))),
-        ))
+        tweets.append(corpus.raw_tweet(str(i + 1), text))
     return tweets, expected
 
 
@@ -300,9 +292,7 @@ def write_all(outdir: str, seed: int = 0) -> list[str]:
 
     docs, topics = planted_topic_docs(500, seed=seed)
     corpus.save_labeled(labeled_from_topics(docs, topics), out("labeled.tsv"))
-    with open(out("topic_corpus.txt"), "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(" ".join(doc) + "\n")
+    corpus.save_token_lines(docs, out("topic_corpus.txt"))
     corpus.save_raw(raw_from_docs(docs), out("topic_tweets.jsonl"))
 
     corpus.save_labeled(separable_labeled(seed=seed), out("separable.tsv"))

@@ -11,10 +11,11 @@ Eval mode keeps none, so it holds only one kernel's activations at a
 time; train mode with dropout 0 gives eval's probabilities bit for bit.
 
 Input batches carry per-token embedding rows, gathered by ``make_batch``
-from token ids into one embedding matrix, plus a 0/1 validity mask.
+from token ids into one embedding matrix, plus each row's length.
 Sequences shorter than the widest convolution kernel are treated as if
 padded with zero-embedding tokens up to that width, so every kernel
-always sees at least one window.
+always sees at least one window.  Frames past a row's length, floored
+at that width, are ignored whatever they hold.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ class NetworkParams:
     kernels: tuple[int, ...] = (3, 4, 5)
     leaky_slope: float = 0.3
 
-    @property
-    def min_len(self) -> int:
-        return max(self.kernels)
-
     def layer_names(self, *layers: int) -> list[str]:
         return [n for n in self.arrays if layer_of(n) in layers]
 
@@ -121,7 +118,7 @@ def _check_arch(params: NetworkParams) -> None:
 
 
 def _array_shapes(params: NetworkParams) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every array ``init_params`` makes for this arch."""
+    """Name and shape of every array ``draw_arrays`` makes for this arch."""
     h4, width, filters = 4 * params.hidden, 2 * params.hidden, params.filters
     shapes: dict[str, tuple[int, ...]] = {}
     for direction in ("fw", "bw"):
@@ -139,65 +136,50 @@ def _array_shapes(params: NetworkParams) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def initial_value(
-    params: NetworkParams, name: str, shape: tuple[int, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """Start value of one array: zero biases with LSTM forget-gate bias 1.0,
-    Glorot-uniform matrices with ``fan_in, fan_out = shape``.
+def draw_arrays(params: NetworkParams, layers: tuple[int, ...], seed: int) -> NetworkParams:
+    """Check the arch, then draw the arrays of ``layers``' groups into
+    ``params`` in ``_array_shapes`` order from ``default_rng(seed)``.
 
-    A conv kernel's fan-out counts all k window steps: ``k * filters``.
+    Biases start at zero, except the LSTM forget-gate bias at 1.0.
+    Matrices are Glorot-uniform with ``fan_in, fan_out = shape``, where a
+    conv kernel's fan-out counts all k window steps: ``k * filters``.
     """
-    if len(shape) == 1:
-        b = np.zeros(shape)
-        if layer_of(name) == 1:
-            b[params.hidden : 2 * params.hidden] = 1.0
-        return b
-    fan_in, fan_out = shape
-    if layer_of(name) == 2:
-        fan_out *= fan_in // (2 * params.hidden)
-    return _glorot(rng, shape, fan_in, fan_out)
-
-
-def init_params(
-    n_classes: int,
-    cluster_width: int,
-    seed: int = 0,
-    embed_dim: int = 300,
-    hidden: int = 100,
-    filters: int = 200,
-    dense: int = 100,
-    kernels: tuple[int, ...] = (3, 4, 5),
-    leaky_slope: float = 0.3,
-) -> NetworkParams:
-    """A new network with every array at its ``initial_value``.
-
-    Arrays are drawn in ``_array_shapes`` order so one seed pins every
-    value.
-    """
-    params = NetworkParams(
-        arrays={},
-        n_classes=n_classes,
-        cluster_width=cluster_width,
-        embed_dim=embed_dim,
-        hidden=hidden,
-        filters=filters,
-        dense=dense,
-        kernels=tuple(kernels),
-        leaky_slope=leaky_slope,
-    )
     _check_arch(params)
     rng = np.random.default_rng(seed)
     for name, shape in _array_shapes(params).items():
-        params.arrays[name] = initial_value(params, name, shape, rng)
+        layer = layer_of(name)
+        if layer not in layers:
+            continue
+        if len(shape) == 1:
+            value = np.zeros(shape)
+            if layer == 1:
+                value[params.hidden : 2 * params.hidden] = 1.0
+        else:
+            fan_in, fan_out = shape
+            if layer == 2:
+                fan_out *= fan_in // (2 * params.hidden)
+            value = _glorot(rng, shape, fan_in, fan_out)
+        params.arrays[name] = value
     return params
+
+
+def init_params(n_classes: int, cluster_width: int, seed: int = 0, **sizes) -> NetworkParams:
+    """A new network whose every array comes from ``draw_arrays``.
+
+    ``sizes`` are ``NetworkParams`` fields (``embed_dim``, ``hidden``,
+    ``filters``, ``dense``, ``kernels``, ``leaky_slope``); the ones left
+    out keep the paper's sizes.  One seed pins every value.
+    """
+    params = NetworkParams(arrays={}, n_classes=n_classes, cluster_width=cluster_width, **sizes)
+    return draw_arrays(params, LAYER_IDS, seed)
 
 
 @dataclass(frozen=True)
 class Batch:
-    """Embedded input sequences, padded and masked, plus side features."""
+    """Embedded input sequences, padded, with their lengths and side features."""
 
     embeddings: np.ndarray  # (B, T, embed_dim), zero rows at padding
-    mask: np.ndarray  # (B, T) 1.0 at real tokens, 0.0 at padding
+    lengths: np.ndarray  # (B,) int, real tokens per row; frames past them are padding
     cluster_features: np.ndarray  # (B, cluster_width)
     labels: np.ndarray | None = None  # (B,) int64
 
@@ -213,7 +195,8 @@ def make_batch(
 
     ``ids`` index rows of ``matrix``, whose row 0 is the zero padding
     vector; id 0 never names a token.  Sequences longer than ``max_len``
-    tokens are truncated.  Padding rows are zero and masked out.
+    tokens are truncated.  Padding rows are zero; each row's length says
+    where its padding starts.
     """
     if not ids:
         raise ValueError("batch needs at least one sequence")
@@ -231,8 +214,7 @@ def make_batch(
         if lab.shape != (len(clipped),):
             raise ValueError("labels must align with sequences")
     return Batch(
-        embeddings=matrix[padded], mask=(padded > 0).astype(np.float64),
-        cluster_features=feats, labels=lab,
+        embeddings=matrix[padded], lengths=lengths, cluster_features=feats, labels=lab,
     )
 
 
@@ -409,7 +391,6 @@ def forward(
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout}")
     emb = batch.embeddings
-    mask = batch.mask
     B, T, E = emb.shape
     if E != params.embed_dim:
         raise ValueError(f"embeddings have dim {E}, network expects {params.embed_dim}")
@@ -418,14 +399,13 @@ def forward(
             f"cluster features shaped {batch.cluster_features.shape}, "
             f"expected {(B, params.cluster_width)}"
         )
-    min_len = params.min_len
-    if T < min_len:
-        emb = np.concatenate([emb, np.zeros((B, min_len - T, E))], axis=1)
-        mask = np.concatenate([mask, np.zeros((B, min_len - T))], axis=1)
-        T = min_len
     # Short sequences count as zero-padded up to the widest kernel:
     # those extra steps are real (zero-vector) inputs, not masked out.
-    lengths = np.maximum(mask.sum(axis=1).astype(np.int64), min_len)
+    min_len = max(params.kernels)
+    if T < min_len:
+        emb = np.concatenate([emb, np.zeros((B, min_len - T, E))], axis=1)
+        T = min_len
+    lengths = np.maximum(batch.lengths, min_len)
     eff = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
 
     keep = 1.0 - dropout

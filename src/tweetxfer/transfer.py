@@ -55,29 +55,37 @@ class CommentRecord:
 
 
 def load_comments(path: str) -> list[CommentRecord]:
-    """JSON-lines moderated comments with per-annotator boolean flags."""
+    """JSON-lines moderated comments with per-annotator boolean flags.
+
+    Each record needs at least one annotator, and each flag must be a
+    JSON ``true`` or ``false``.
+    """
     records: list[CommentRecord] = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: bad JSON ({exc})") from None
+                raise DataError(f"{where}: bad JSON ({exc})") from None
             try:
                 annotations = tuple(
                     CommentAnnotation(
-                        inappropriate=bool(a["inappropriate"]),
-                        discriminating=bool(a["discriminating"]),
+                        inappropriate=require(a, "inappropriate", (bool,), where),
+                        discriminating=require(a, "discriminating", (bool,), where),
                     )
                     for a in rec["annotations"]
                 )
-                text = require(rec, "text", (str,), f"{path}:{lineno}")
-                records.append(CommentRecord(id=str(rec["id"]), text=text, annotations=annotations))
+                text = require(rec, "text", (str,), where)
+                rid = str(rec["id"])
             except (KeyError, TypeError):
-                raise DataError(f"{path}:{lineno}: malformed comment record") from None
+                raise DataError(f"{where}: malformed comment record") from None
+            if not annotations:
+                raise DataError(f"{where}: comment {rid!r} has no annotations")
+            records.append(CommentRecord(id=rid, text=text, annotations=annotations))
     return records
 
 
@@ -369,18 +377,14 @@ def pretrain(
 
 
 def replace_head(params: net.NetworkParams, n_classes: int, seed: int = 0) -> net.NetworkParams:
-    """Copy params with a re-initialized prediction layer of a new width.
+    """Copy params with a prediction layer of a new width, redrawn by
+    ``net.draw_arrays`` from ``seed``.
 
     Layers 1-3 are copied bit-exactly; only the head is redrawn.
     """
     out = params.copy()
     out.n_classes = n_classes
-    net._check_arch(out)
-    rng = np.random.default_rng(seed)
-    shapes = net._array_shapes(out)
-    for name in out.layer_names(4):
-        out.arrays[name] = net.initial_value(out, name, shapes[name], rng)
-    return out
+    return net.draw_arrays(out, (4,), seed)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,26 @@ class TestPretrainCli:
         params, _ = net.load_checkpoint(str(out))
         assert params.n_classes == 2
 
+    @pytest.mark.parametrize(
+        "annotations,reason",
+        [
+            ([{"inappropriate": v, "discriminating": v} for v in ("false", "no", "0")],
+             "key 'inappropriate' is missing or of the wrong type"),
+            ([], "comment '1' has no annotations"),
+        ],
+        ids=["string_flags", "no_annotators"],
+    )
+    def test_bad_comment_record_names_its_line(self, ws, tmp_path, annotations, reason):
+        comments = tmp_path / "c.jsonl"
+        record = {"id": "1", "text": "hallo welt", "annotations": annotations}
+        comments.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code, stdout, err = _run([
+            "pretrain", "--task", "category", "--corpus", str(comments),
+            "--config", ws["cfg"], "--out", str(tmp_path / "pre.ckpt"),
+        ])
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: {comments}:1: {reason}\n"
+
     def test_topic_task_requires_lda(self, ws, trained, tmp_path):
         code, _, err = _run([
             "pretrain", "--task", "topic", "--corpus", ws["topic_tweets"],

@@ -174,7 +174,7 @@ class TestMakeBatch:
         seqs = [rng.normal(size=(4, 5)), rng.normal(size=(2, 5))]
         batch = _rows_batch(seqs, np.zeros((2, 0)), [0, 1])
         assert batch.embeddings.shape == (2, 4, 5)
-        np.testing.assert_array_equal(batch.mask, [[1, 1, 1, 1], [1, 1, 0, 0]])
+        np.testing.assert_array_equal(batch.lengths, [4, 2])
         np.testing.assert_array_equal(batch.embeddings[1, 2:], 0.0)
         np.testing.assert_array_equal(batch.embeddings[1, :2], seqs[1])
 
@@ -182,7 +182,7 @@ class TestMakeBatch:
         seqs = [np.ones((30, 3))]
         batch = _rows_batch(seqs, np.zeros((1, 0)), max_len=10)
         assert batch.embeddings.shape == (1, 10, 3)
-        np.testing.assert_array_equal(batch.mask, np.ones((1, 10)))
+        np.testing.assert_array_equal(batch.lengths, [10])
 
     def test_repeated_ids_share_a_row(self):
         matrix = np.arange(12.0).reshape(4, 3)
@@ -192,12 +192,12 @@ class TestMakeBatch:
         assert batch.embeddings.shape == (2, 3, 3)
         np.testing.assert_array_equal(batch.embeddings[0], matrix[[2, 2, 1]])
         np.testing.assert_array_equal(batch.embeddings[1], 0.0)
-        np.testing.assert_array_equal(batch.mask, [[1, 1, 1], [0, 0, 0]])
+        np.testing.assert_array_equal(batch.lengths, [3, 0])
 
     def test_all_empty_is_one_masked_step(self):
         batch = make_batch([np.zeros(0, dtype=np.intp)], np.zeros((1, 4)), np.zeros((1, 0)))
         assert batch.embeddings.shape == (1, 1, 4)
-        np.testing.assert_array_equal(batch.mask, [[0.0]])
+        np.testing.assert_array_equal(batch.lengths, [0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -243,14 +243,17 @@ class TestForward:
         assert train.tobytes() == ev.tobytes()
 
     def test_extra_padding_changes_nothing(self):
-        """Masked frames appended on the right leave eval output intact."""
+        """Padding frames appended on the right leave eval output intact,
+        and frames past each row's length, floored at the widest kernel,
+        count for nothing in eval, train or backward even when they hold
+        noise: the lengths are the only validity signal."""
         params = _small_params()
         batch = _small_batch()
         B, T, E = batch.embeddings.shape
         extra = 3
         wide = Batch(
             embeddings=np.concatenate([batch.embeddings, np.zeros((B, extra, E))], axis=1),
-            mask=np.concatenate([batch.mask, np.zeros((B, extra))], axis=1),
+            lengths=batch.lengths,
             cluster_features=batch.cluster_features,
             labels=batch.labels,
         )
@@ -258,17 +261,32 @@ class TestForward:
         b, _ = forward(params, wide, mode="eval")
         np.testing.assert_array_equal(a, b)
 
+        rng = np.random.default_rng(5)
+        noisy_emb = wide.embeddings.copy()
+        for row, start in enumerate(np.maximum(batch.lengths, max(params.kernels))):
+            noisy_emb[row, start:] = rng.normal(size=(T + extra - start, E))
+        noisy = Batch(noisy_emb, wide.lengths, wide.cluster_features, wide.labels)
+        assert not np.array_equal(noisy.embeddings, wide.embeddings)
+        for mode in ("eval", "train"):
+            zeros_probs, zeros_cache = forward(params, wide, mode=mode, dropout_seed=2)
+            noise_probs, noise_cache = forward(params, noisy, mode=mode, dropout_seed=2)
+            assert noise_probs.tobytes() == zeros_probs.tobytes(), mode
+        zeros_grads = backward(params, wide, zeros_cache)
+        noise_grads = backward(params, noisy, noise_cache)
+        for name, grad in zeros_grads.items():
+            np.testing.assert_array_equal(noise_grads[name], grad, err_msg=name)
+
     def test_short_sequence_padding_floor(self):
         """A sequence below the widest kernel behaves exactly like the
         same sequence zero-padded to that length with valid positions."""
         params = _small_params(cluster_width=0)
         rng = np.random.default_rng(3)
-        seq = rng.normal(size=(2, 16))  # below min_len 3
+        seq = rng.normal(size=(2, 16))  # below the widest kernel, 3
         short = _rows_batch([seq], np.zeros((1, 0)), [0])
         assert short.embeddings.shape[1] == 2
         explicit = Batch(
             embeddings=np.concatenate([seq[None], np.zeros((1, 1, 16))], axis=1),
-            mask=np.ones((1, 3)),
+            lengths=np.array([3]),
             cluster_features=np.zeros((1, 0)),
             labels=np.array([0]),
         )
@@ -286,7 +304,7 @@ class TestForward:
         bad_dim = _small_batch()
         bad_dim = Batch(
             embeddings=bad_dim.embeddings[:, :, :8],
-            mask=bad_dim.mask,
+            lengths=bad_dim.lengths,
             cluster_features=bad_dim.cluster_features,
             labels=bad_dim.labels,
         )
@@ -294,7 +312,7 @@ class TestForward:
             forward(params, bad_dim)
         bad_feats = Batch(
             embeddings=batch.embeddings,
-            mask=batch.mask,
+            lengths=batch.lengths,
             cluster_features=np.zeros((4, 2)),
             labels=batch.labels,
         )
@@ -347,7 +365,7 @@ class TestLstmCell:
         batch = _small_batch()
         loud = Batch(
             embeddings=batch.embeddings * 1e3,
-            mask=batch.mask,
+            lengths=batch.lengths,
             cluster_features=batch.cluster_features,
             labels=batch.labels,
         )
@@ -424,7 +442,7 @@ class TestGradients:
     def test_labels_required(self):
         params = _small_params()
         batch = _small_batch()
-        unlabeled = Batch(batch.embeddings, batch.mask, batch.cluster_features, None)
+        unlabeled = Batch(batch.embeddings, batch.lengths, batch.cluster_features, None)
         _, cache = forward(params, unlabeled)
         with pytest.raises(ValueError):
             backward(params, unlabeled, cache)

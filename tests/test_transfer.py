@@ -101,6 +101,18 @@ class TestCategoryTask:
         path.write_text('{"id": "a", "text": 5, "annotations": []}\n', encoding="utf-8")
         with pytest.raises(DataError, match=r"c\.jsonl:1: key 'text'"):
             load_comments(str(path))
+        # A flag must be a JSON boolean: the string "false" is not false.
+        for flag in ('"false"', '"no"', '"0"', "0", "1", "null"):
+            ann = f'{{"inappropriate": {flag}, "discriminating": false}}'
+            path.write_text(f'{{"id": "a", "text": "x", "annotations": [{ann}]}}\n')
+            with pytest.raises(DataError, match=r"c\.jsonl:1: key 'inappropriate'"):
+                load_comments(str(path))
+        path.write_text('{"id": "a", "text": "x", "annotations": [{"inappropriate": true}]}\n')
+        with pytest.raises(DataError, match=r"c\.jsonl:1: key 'discriminating'"):
+            load_comments(str(path))
+        path.write_text('{"id": "a", "text": "x", "annotations": []}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"c\.jsonl:1: comment 'a' has no annotations"):
+            load_comments(str(path))
 
 
 class TestEmojiTask:
@@ -257,7 +269,7 @@ class TestEncoding:
         batch = transfer._batch_from(data, idx, max_len=7)
         ref = _ref_batch(tokens, table, data.cluster_features, data.labels, max_len=7)
         assert batch.embeddings.shape == (5, 7, 6)
-        for field in ("embeddings", "mask", "cluster_features", "labels"):
+        for field in ("embeddings", "lengths", "cluster_features", "labels"):
             np.testing.assert_array_equal(getattr(batch, field), getattr(ref, field))
 
     def test_encode_task_ids_match_per_token_batches(self):
@@ -274,7 +286,7 @@ class TestEncoding:
         idx = np.arange(len(data))
         batch = transfer._batch_from(data, idx, max_len=4)
         ref = _ref_batch(tokens, table, data.cluster_features, data.labels, max_len=4)
-        for field in ("embeddings", "mask", "cluster_features", "labels"):
+        for field in ("embeddings", "lengths", "cluster_features", "labels"):
             np.testing.assert_array_equal(getattr(batch, field), getattr(ref, field))
 
     def test_encode_labeled_validation(self):
@@ -398,12 +410,10 @@ def _ref_batch(token_lists, table, cluster_features, labels, max_len):
     sequences = [table.embed_tokens(tokens)[:max_len] for tokens in token_lists]
     t_max = max(1, max(len(s) for s in sequences))
     emb = np.zeros((len(sequences), t_max, table.dim))
-    mask = np.zeros((len(sequences), t_max))
     for i, s in enumerate(sequences):
         emb[i, : len(s)] = s
-        mask[i, : len(s)] = 1.0
     return net.Batch(
-        embeddings=emb, mask=mask,
+        embeddings=emb, lengths=np.array([len(s) for s in sequences]),
         cluster_features=np.asarray(cluster_features, dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64),
     )

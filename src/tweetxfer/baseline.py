@@ -90,6 +90,8 @@ def featurize(
     """Idf-weighted mean embedding per tweet, (n, dim)."""
     if not tweets:
         return np.zeros((0, table.dim))
+    # One batched lookup draws every unknown token's buckets at once.
+    table.embed_tokens(list(dict.fromkeys(tok for t in tweets for tok in t.tokens)))
     return np.stack([idf_weighted_vector(table, idf, t) for t in tweets])
 
 

@@ -117,7 +117,7 @@ def _cmd_cluster_users(args: argparse.Namespace) -> int:
     else:
         lists = corpus.load_token_lines(args.mentions)
     if not lists:
-        raise DataError("no usable mention lists after filtering")
+        raise DataError(f"{args.raw or args.mentions}: no usable mention lists after filtering")
     clusters = lda.cluster_users(
         lists, k=cfg.k_users, alpha=cfg.lda_alpha or None, beta=cfg.lda_beta,
         iterations=cfg.lda_iterations, seed=cfg.seed,
@@ -144,6 +144,11 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
                 tweets, model, textprep.load_stopwords(),
                 infer_iterations=cfg.infer_iterations, seed=cfg.seed,
             )
+    if len(task.label_space) < 2:
+        raise DataError(
+            f"{args.corpus}: {args.task} task needs at least 2 labels, "
+            f"got {len(task.label_space)}"
+        )
     width = cfg.k_users + 1
     params = transfer.pretrain(
         task, table, cluster_width=width, seed=cfg.seed,

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import textprep
-from .errors import DataError, open_text
+from .errors import DataError, open_text, require
 
 COARSE_LABELS = ("offense", "other")
 FINE_LABELS = ("insult", "profanity", "abuse", "other")
@@ -123,13 +123,8 @@ def load_raw(path: str) -> list[RawTweet]:
                 raise DataError(f"{path}:{lineno}: bad JSON ({exc})") from None
             if not isinstance(rec, dict):
                 raise DataError(f"{path}:{lineno}: record is not an object")
-            for key in ("id", "text"):
-                if key not in rec:
-                    raise DataError(f"{path}:{lineno}: missing {key!r} field")
-            tid = str(rec["id"])
-            text = rec["text"]
-            if not isinstance(text, str):
-                raise DataError(f"{path}:{lineno}: text is not a string")
+            tid = require(rec, "id", (str,), f"{path}:{lineno}")
+            text = require(rec, "text", (str,), f"{path}:{lineno}")
             if tid in seen:
                 raise DataError(f"{path}:{lineno}: duplicate id {tid!r}")
             seen.add(tid)

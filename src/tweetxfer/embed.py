@@ -7,6 +7,13 @@ averaged.  Bucket vectors are generated lazily from (seed, bucket index)
 so the table costs nothing until a bucket is touched and is identical no
 matter which bucket is asked for first.  Each unknown word's vector is
 computed once per table and cached, read-only, for its later occurrences.
+
+Bucket ``i`` holds ``default_rng([seed, i]).uniform(-b, b, dim)``,
+``b = 0.5 / dim``, bit for bit.  Building a generator costs several
+times more than drawing from it, so ``embed_tokens`` hashes each distinct
+n-gram of its new unknown words once and draws all their missing buckets
+in one batch: numpy's SeedSequence arithmetic runs over arrays of bucket
+ids, and one reused PCG64 is set to each bucket's start state.
 """
 
 from __future__ import annotations
@@ -55,6 +62,73 @@ def char_ngrams(token: str, n_min: int = 3, n_max: int = 6) -> list[str]:
     return grams if grams else [word]
 
 
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
+_SS_POOL = 4
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_DRAW_BLOCK = 4096  # bucket ids seeded per numpy pass
+
+
+def _seed_words(seed: int, ids: list[int]) -> list[np.ndarray]:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for every
+    ``i`` in ``ids`` (each below 2**32), as four uint64 arrays: word k of
+    each id's state is element k's array.
+
+    The entropy is the seed's 32-bit words, low first, then ``i``'s one
+    word.  The uint32 arrays wrap as numpy's C code does; the hash
+    constants depend on no data, so they stay Python ints.
+    """
+    u32 = np.uint32
+    n = len(ids)
+    entropy = [
+        np.full(n, (seed >> shift) & _MASK32, dtype=u32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    entropy.append(np.array(ids, dtype=u32))
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _MASK32
+        value *= u32(hash_const)
+        value ^= value >> u32(16)
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * u32(_SS_MIX_L) - y * u32(_SS_MIX_R)
+        out ^= out >> u32(16)
+        return out
+
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else np.zeros(n, dtype=u32))
+        for i in range(_SS_POOL)
+    ]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    hash_const = _SS_INIT_B
+    state = []
+    for k in range(8):
+        value = pool[k % _SS_POOL] ^ u32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & _MASK32
+        value *= u32(hash_const)
+        value ^= value >> u32(16)
+        state.append(value.astype(np.uint64))
+    return [state[k] | (state[k + 1] << np.uint64(32)) for k in range(0, 8, 2)]
+
+
 @dataclass
 class EmbeddingTable:
     """Pre-trained word vectors plus the hashed n-gram bucket table."""
@@ -73,6 +147,8 @@ class EmbeddingTable:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.buckets < 1:
             raise ValueError(f"buckets must be positive, got {self.buckets}")
+        if self.buckets > 1 << 32:
+            raise ValueError(f"buckets must be at most 2**32, got {self.buckets}")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError(f"bad n-gram range ({self.n_min}, {self.n_max})")
         if self.seed < 0:
@@ -81,11 +157,8 @@ class EmbeddingTable:
     def bucket_vector(self, index: int) -> np.ndarray:
         vec = self._bucket_cache.get(index)
         if vec is None:
-            rng = np.random.default_rng([self.seed, index])
-            bound = 0.5 / self.dim
-            vec = rng.uniform(-bound, bound, self.dim)
-            vec.flags.writeable = False
-            self._bucket_cache[index] = vec
+            self._draw_buckets([index])
+            vec = self._bucket_cache[index]
         return vec
 
     def embed_token(self, token: str) -> np.ndarray:
@@ -98,22 +171,76 @@ class EmbeddingTable:
         if vec is not None:
             return vec
         vec = self._oov_cache.get(token)
-        if vec is not None:
-            return vec
-        grams = char_ngrams(token, self.n_min, self.n_max)
-        vec = np.zeros(self.dim)
-        for gram in grams:
-            vec += self.bucket_vector(fnv1a64(gram.encode("utf-8")) % self.buckets)
-        vec /= len(grams)
-        vec.flags.writeable = False
-        self._oov_cache[token] = vec
+        if vec is None:
+            self._embed_new([token])
+            vec = self._oov_cache[token]
         return vec
 
     def embed_tokens(self, tokens: tuple[str, ...] | list[str]) -> np.ndarray:
-        """Stack of per-token vectors, shape (len(tokens), dim)."""
+        """Stack of per-token vectors, shape (len(tokens), dim).
+
+        The buckets of every new unknown token are drawn in one batch.
+        """
         if not tokens:
             return np.zeros((0, self.dim))
+        self._embed_new([
+            tok for tok in dict.fromkeys(tokens)
+            if tok not in self.word_vectors and tok not in self._oov_cache
+        ])
         return np.stack([self.embed_token(tok) for tok in tokens])
+
+    def _embed_new(self, tokens: list[str]) -> None:
+        """Cache the n-gram mean of each of ``tokens``: distinct, unknown
+        and not cached yet."""
+        hashed: dict[str, int] = {}
+        token_buckets = []
+        for tok in tokens:
+            row = []
+            for gram in char_ngrams(tok, self.n_min, self.n_max):
+                index = hashed.get(gram)
+                if index is None:
+                    index = hashed[gram] = fnv1a64(gram.encode("utf-8")) % self.buckets
+                row.append(index)
+            token_buckets.append(row)
+        cache = self._bucket_cache
+        self._draw_buckets([i for i in dict.fromkeys(hashed.values()) if i not in cache])
+        for tok, row in zip(tokens, token_buckets):
+            vec = np.zeros(self.dim)
+            for index in row:
+                vec += cache[index]
+            vec /= len(row)
+            vec.flags.writeable = False
+            self._oov_cache[tok] = vec
+
+    def _draw_buckets(self, ids: list[int]) -> None:
+        """Cache bucket ``i``'s ``default_rng([seed, i]).uniform(-b, b, dim)``
+        for each of ``ids``, b = 0.5 / dim, bit for bit.
+
+        ``default_rng`` costs far more to build than to draw from, so the
+        seed sequences are run for a whole block of ids at once, and one
+        reused PCG64 is set to each bucket's starting state.
+        """
+        bound = 0.5 / self.dim
+        bitgen = np.random.PCG64()  # its state is set before every draw
+        gen = np.random.Generator(bitgen)
+        pcg = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        for start in range(0, len(ids), _DRAW_BLOCK):
+            block_ids = ids[start : start + _DRAW_BLOCK]
+            block = np.empty((len(block_ids), self.dim))
+            words = _seed_words(self.seed, block_ids)
+            for row, s_hi, s_lo, q_hi, q_lo in zip(block, *(w.tolist() for w in words)):
+                # pcg64_set_seed: state 0, then step, add initstate, step.
+                inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+                pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+                pcg["inc"] = inc
+                bitgen.state = state
+                gen.random(out=row)
+            # uniform(low, high) is low + (high - low) * u.
+            block *= 2 * bound
+            block -= bound
+            block.flags.writeable = False
+            self._bucket_cache.update(zip(block_ids, block))
 
 
 def load_vectors(

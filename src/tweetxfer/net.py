@@ -278,7 +278,7 @@ def _lstm_direction(
         np.tanh(z, out=gates)
         gates *= scale
         gates += shift
-        i, f, g, o = np.split(gates, 4, axis=1)
+        i, f, g, o = (gates[:, k * H : (k + 1) * H] for k in range(4))
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new, out=tr.tanh_c[:, t] if keep_trace else None)
         h_new = o * tanh_c
@@ -317,7 +317,7 @@ def _lstm_direction_backward(
         dh_prev = (1.0 - m) * dh_total
         dc_new = m * dc_carry
         dc_prev = (1.0 - m) * dc_carry
-        i, f, g, o = np.split(tr.gates[:, t], 4, axis=1)
+        i, f, g, o = (tr.gates[:, t, k * H : (k + 1) * H] for k in range(4))
         tanh_c = tr.tanh_c[:, t]
         d_o = dh_new * tanh_c
         dc_new = dc_new + dh_new * o * (1.0 - tanh_c**2)

@@ -57,10 +57,12 @@ class CommentRecord:
 def load_comments(path: str) -> list[CommentRecord]:
     """JSON-lines moderated comments with per-annotator boolean flags.
 
-    Each record needs at least one annotator, and each flag must be a
-    JSON ``true`` or ``false``.
+    Each record needs a string ``id`` that no earlier record has, at
+    least one annotator, and each flag must be a JSON ``true`` or
+    ``false``.
     """
     records: list[CommentRecord] = []
+    seen: set[str] = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -80,11 +82,14 @@ def load_comments(path: str) -> list[CommentRecord]:
                     for a in rec["annotations"]
                 )
                 text = require(rec, "text", (str,), where)
-                rid = str(rec["id"])
+                rid = require(rec, "id", (str,), where)
             except (KeyError, TypeError):
                 raise DataError(f"{where}: malformed comment record") from None
             if not annotations:
                 raise DataError(f"{where}: comment {rid!r} has no annotations")
+            if rid in seen:
+                raise DataError(f"{where}: duplicate id {rid!r}")
+            seen.add(rid)
             records.append(CommentRecord(id=rid, text=text, annotations=annotations))
     return records
 

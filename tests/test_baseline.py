@@ -11,7 +11,7 @@ from tweetxfer.baseline import (
     top_terms,
     train_linear,
 )
-from tweetxfer.embed import EmbeddingTable, compute_idf
+from tweetxfer.embed import EmbeddingTable, compute_idf, idf_weighted_vector
 from tweetxfer.textprep import TokenizedTweet
 
 
@@ -149,6 +149,23 @@ class TestFeaturize:
         assert X.shape == (3, 2)
         w = math.log(3 / 2)
         np.testing.assert_allclose(X[2], (w * np.array([1.0, 0.0]) + w * np.array([0.0, 1.0])) / (2 * w))
+
+    def test_oov_rows_equal_per_tweet_lookups(self):
+        """Warming the table in one batch changes no bit of any row."""
+        docs = [
+            TokenizedTweet(("rot", "zug", "verspätung")),
+            TokenizedTweet(("zug",)),
+            TokenizedTweet(("bahnhof", "rot", "zug", "x")),
+            TokenizedTweet(()),
+        ]
+        idf = compute_idf(docs)
+
+        def table():
+            return EmbeddingTable(dim=6, word_vectors={"rot": np.arange(6.0)}, seed=3)
+
+        fresh = table()
+        want = np.stack([idf_weighted_vector(fresh, idf, d) for d in docs])
+        assert featurize(docs, table(), idf).tobytes() == want.tobytes()
 
     def test_empty_input(self):
         table = EmbeddingTable(dim=5, word_vectors={})

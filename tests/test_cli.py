@@ -196,6 +196,15 @@ class TestClusterUsersCli:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_no_usable_lists_names_the_input(self, ws, tmp_path):
+        raw = tmp_path / "lonely.jsonl"
+        corpus.save_raw([corpus.raw_tweet("1", "nur @eine erwähnung")], str(raw))
+        code, stdout, err = _run([
+            "cluster-users", "--raw", str(raw), "--out", str(tmp_path / "c.tsv"),
+        ])
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: {raw}: no usable mention lists after filtering\n"
+
     def test_sources_are_mutually_exclusive(self, ws, tmp_path):
         code, _, _ = _run([
             "cluster-users", "--mentions", ws["mentions"], "--raw",
@@ -288,6 +297,19 @@ class TestPretrainCli:
         ])
         assert (code, stdout) == (2, "")
         assert err == f"data error: {comments}:1: {reason}\n"
+
+    @pytest.mark.parametrize("texts", [["kein emoji"], ["eins \U0001F600", "zwei \U0001F600"]],
+                             ids=["no_emoji", "one_emoji"])
+    def test_emoji_corpus_needs_two_emoji(self, ws, tmp_path, texts):
+        raw = tmp_path / "emoji.jsonl"
+        corpus.save_raw([corpus.raw_tweet(str(i), t) for i, t in enumerate(texts)], str(raw))
+        code, stdout, err = _run([
+            "pretrain", "--task", "emoji", "--corpus", str(raw),
+            "--config", ws["cfg"], "--out", str(tmp_path / "pre.ckpt"),
+        ])
+        labels = len({e for t in texts for e in corpus.raw_tweet("", t).emojis})
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: {raw}: emoji task needs at least 2 labels, got {labels}\n"
 
     def test_topic_task_requires_lda(self, ws, trained, tmp_path):
         code, _, err = _run([

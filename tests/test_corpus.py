@@ -191,6 +191,13 @@ class TestRawIo:
         with pytest.raises(DataError, match=r":2:"):
             load_raw(str(path))
 
+    @pytest.mark.parametrize("tid", ["null", "[1]", "5", "true"])
+    def test_id_must_be_a_string(self, tmp_path, tid):
+        path = tmp_path / "r.jsonl"
+        path.write_text(f'{{"id": "a", "text": "x"}}\n{{"id": {tid}, "text": "y"}}\n')
+        with pytest.raises(DataError, match=r"r\.jsonl:2: key 'id'"):
+            load_raw(str(path))
+
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text('{"id": "a", "text": "x"}\nnot json\n', encoding="utf-8")

@@ -141,6 +141,83 @@ class TestBucketVectors:
             table.bucket_vector(0)[0] = 1.0
 
 
+class TestDrawBuckets:
+    """The batched draw against ``default_rng([seed, i]).uniform``, the
+    per-bucket recipe it replaces."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31, 2**32 + 5, 2**64 + 3, 2**100 + 1])
+    @pytest.mark.parametrize("buckets", [1 << 18, 1 << 32])
+    def test_equals_default_rng_uniform(self, seed, buckets):
+        for dim in (1, 8, 300):
+            table = EmbeddingTable(dim=dim, word_vectors={}, buckets=buckets, seed=seed)
+            ids = [0, 1, buckets - 1]
+            table._draw_buckets(ids)
+            bound = 0.5 / dim
+            for i in ids:
+                ref = np.random.default_rng([seed, i]).uniform(-bound, bound, dim)
+                np.testing.assert_array_equal(table._bucket_cache[i], ref)
+                assert table._bucket_cache[i].tobytes() == ref.tobytes()
+
+    def test_more_ids_than_one_block(self):
+        table = EmbeddingTable(dim=3, word_vectors={}, seed=4)
+        ids = list(range(5, 5 + embed._DRAW_BLOCK + 7))
+        table._draw_buckets(ids)
+        for i in (ids[0], ids[embed._DRAW_BLOCK - 1], ids[embed._DRAW_BLOCK], ids[-1]):
+            ref = np.random.default_rng([4, i]).uniform(-0.5 / 3, 0.5 / 3, 3)
+            np.testing.assert_array_equal(table._bucket_cache[i], ref)
+        assert all(not v.flags.writeable for v in table._bucket_cache.values())
+
+
+def _embed_reference(table: EmbeddingTable, token: str) -> np.ndarray:
+    """The per-gram loop: one ``default_rng`` per n-gram, summed in order."""
+    vec = table.word_vectors.get(token)
+    if vec is not None:
+        return vec
+    bound = 0.5 / table.dim
+    grams = char_ngrams(token, table.n_min, table.n_max)
+    out = np.zeros(table.dim)
+    for gram in grams:
+        index = fnv1a64(gram.encode("utf-8")) % table.buckets
+        out += np.random.default_rng([table.seed, index]).uniform(-bound, bound, table.dim)
+    out /= len(grams)
+    return out
+
+
+class TestEmbedTokensBatched:
+    _TOKENS = ["der", "verspätung", "", "zug", "verspätung", "x", "", "<user>", "🚆", "der"]
+
+    def _table(self, **kw):
+        vectors = word_vector_table(["der", "zug"], dim=10, seed=4)
+        return EmbeddingTable(dim=10, word_vectors=vectors, seed=6, **kw)
+
+    @pytest.mark.parametrize("buckets", [1 << 18, 97, 1])
+    def test_equals_per_gram_reference(self, buckets):
+        table = self._table(buckets=buckets)
+        got = table.embed_tokens(self._TOKENS)
+        for row, tok in zip(got, self._TOKENS):
+            np.testing.assert_array_equal(row, _embed_reference(table, tok))
+
+    def test_batched_fill_equals_token_by_token_fill(self):
+        batched, single = self._table(), self._table()
+        batched.embed_tokens(self._TOKENS)
+        for tok in self._TOKENS:
+            single.embed_token(tok)
+        for got, want in ((batched._bucket_cache, single._bucket_cache),
+                          (batched._oov_cache, single._oov_cache)):
+            assert set(got) == set(want)
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes()
+                assert not got[key].flags.writeable
+
+    def test_second_call_draws_nothing(self, monkeypatch):
+        table = self._table()
+        first = table.embed_tokens(self._TOKENS)
+        drawn = []
+        monkeypatch.setattr(table, "_draw_buckets", drawn.append)
+        np.testing.assert_array_equal(table.embed_tokens(self._TOKENS), first)
+        assert not any(drawn)
+
+
 class TestEmbedToken:
     def test_known_word_uses_table_row(self):
         vec = np.arange(4.0)
@@ -207,11 +284,12 @@ class TestEmbedToken:
     [
         ({"dim": 0}, "dim"),
         ({"buckets": 0}, "buckets"),
+        ({"buckets": 2**32 + 1}, "buckets"),
         ({"n_min": 0}, "n-gram range"),
         ({"n_min": 5, "n_max": 3}, "n-gram range"),
         ({"seed": -1}, "seed"),
     ],
-    ids=["dim", "buckets", "n_min", "n_max_below_n_min", "seed"],
+    ids=["dim", "buckets", "buckets_above_2**32", "n_min", "n_max_below_n_min", "seed"],
 )
 def test_bad_table_settings_rejected_at_construction(settings, message):
     with pytest.raises(ValueError, match=message):

@@ -114,6 +114,22 @@ class TestCategoryTask:
         with pytest.raises(DataError, match=r"c\.jsonl:1: comment 'a' has no annotations"):
             load_comments(str(path))
 
+    @pytest.mark.parametrize("rid", ["null", "[1]", "5", "true"])
+    def test_id_must_be_a_string(self, tmp_path, rid):
+        path = tmp_path / "c.jsonl"
+        ann = '{"inappropriate": false, "discriminating": false}'
+        path.write_text(f'{{"id": {rid}, "text": "x", "annotations": [{ann}]}}\n')
+        with pytest.raises(DataError, match=r"c\.jsonl:1: key 'id'"):
+            load_comments(str(path))
+
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        ann = '{"inappropriate": false, "discriminating": false}'
+        line = f'{{"id": "a", "text": "x", "annotations": [{ann}]}}\n'
+        path.write_text(line + line.replace('"a"', '"b"') + line)
+        with pytest.raises(DataError, match=r"c\.jsonl:3: duplicate id 'a'"):
+            load_comments(str(path))
+
 
 class TestEmojiTask:
     def test_example_count_matches_planted_emoji(self):

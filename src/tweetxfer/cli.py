@@ -149,6 +149,8 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
             f"{args.corpus}: {args.task} task needs at least 2 labels, "
             f"got {len(task.label_space)}"
         )
+    if not task.examples:
+        raise DataError(f"{args.corpus}: {args.task} task has no examples")
     width = cfg.k_users + 1
     params = transfer.pretrain(
         task, table, cluster_width=width, seed=cfg.seed,

@@ -100,23 +100,26 @@ def _validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def _parse_value(name: str, kind: type, raw: str):
+def _parse_value(where: str, name: str, kind: type, raw: str):
+    """``raw`` as a ``kind``; errors start with ``where`` (``<path>:<line>``)."""
     raw = raw.strip()
     if kind is int:
         try:
             return int(raw)
         except ValueError:
-            raise DataError(f"config {name}: {raw!r} is not an integer") from None
+            raise DataError(f"{where}: config {name}: {raw!r} is not an integer") from None
     if kind is float:
         try:
             return float(raw)
         except ValueError:
-            raise DataError(f"config {name}: {raw!r} is not a number") from None
+            raise DataError(f"{where}: config {name}: {raw!r} is not a number") from None
     # kernel_sizes: comma-separated ints
     try:
         return tuple(int(p) for p in raw.split(",") if p.strip())
     except ValueError:
-        raise DataError(f"config {name}: {raw!r} is not a comma-separated int list") from None
+        raise DataError(
+            f"{where}: config {name}: {raw!r} is not a comma-separated int list"
+        ) from None
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -136,7 +139,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 key = key.strip()
                 if key not in types:
                     raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-                setattr(cfg, key, _parse_value(key, types[key], raw))
+                setattr(cfg, key, _parse_value(f"{path}:{lineno}", key, types[key], raw))
     for key, value in (overrides or {}).items():
         if key not in types:
             raise DataError(f"unknown config key {key!r}")

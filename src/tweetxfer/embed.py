@@ -3,17 +3,18 @@
 Known words come from a text vectors file.  Unknown words are embedded
 fastText-style: the word is wrapped in angle brackets, its character
 n-grams are hashed into a fixed bucket table, and the bucket vectors are
-averaged.  Bucket vectors are generated lazily from (seed, bucket index)
-so the table costs nothing until a bucket is touched and is identical no
-matter which bucket is asked for first.  Each unknown word's vector is
-computed once per table and cached, read-only, for its later occurrences.
+averaged.  A table keeps its loaded vectors plus one read-only vector
+per distinct unknown word, computed on the word's first lookup, and
+nothing else.
 
 Bucket ``i`` holds ``default_rng([seed, i]).uniform(-b, b, dim)``,
-``b = 0.5 / dim``, bit for bit.  Building a generator costs several
-times more than drawing from it, so ``embed_tokens`` hashes each distinct
-n-gram of its new unknown words once and draws all their missing buckets
-in one batch: numpy's SeedSequence arithmetic runs over arrays of bucket
-ids, and one reused PCG64 is set to each bucket's start state.
+``b = 0.5 / dim``, bit for bit, so a bucket depends only on (seed, i)
+and is never stored: bucket rows live only inside the call that draws
+them.  Building a generator costs several times more than drawing from
+it, so ``embed_tokens`` hashes each distinct n-gram of its new unknown
+words once and draws all their buckets in one batch: numpy's
+SeedSequence arithmetic runs over arrays of bucket ids, and one reused
+PCG64 is set to each bucket's start state.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _seed_words(seed: int, ids: list[int]) -> list[np.ndarray]:
 
 @dataclass
 class EmbeddingTable:
-    """Pre-trained word vectors plus the hashed n-gram bucket table."""
+    """Pre-trained word vectors plus the hashed n-gram fallback."""
 
     dim: int
     word_vectors: dict[str, np.ndarray]
@@ -139,7 +140,6 @@ class EmbeddingTable:
     n_min: int = 3
     n_max: int = 6
     seed: int = 0
-    _bucket_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _oov_cache: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -153,13 +153,6 @@ class EmbeddingTable:
             raise ValueError(f"bad n-gram range ({self.n_min}, {self.n_max})")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-    def bucket_vector(self, index: int) -> np.ndarray:
-        vec = self._bucket_cache.get(index)
-        if vec is None:
-            self._draw_buckets([index])
-            vec = self._bucket_cache[index]
-        return vec
 
     def embed_token(self, token: str) -> np.ndarray:
         """Vector for ``token``: table lookup, else mean of n-gram buckets.
@@ -192,29 +185,31 @@ class EmbeddingTable:
     def _embed_new(self, tokens: list[str]) -> None:
         """Cache the n-gram mean of each of ``tokens``: distinct, unknown
         and not cached yet."""
-        hashed: dict[str, int] = {}
-        token_buckets = []
+        slot: dict[int, int] = {}  # bucket id -> its row of the drawn block
+        hashed: dict[str, int] = {}  # n-gram -> its bucket's row
+        token_rows = []
         for tok in tokens:
-            row = []
+            grams = []
             for gram in char_ngrams(tok, self.n_min, self.n_max):
-                index = hashed.get(gram)
-                if index is None:
-                    index = hashed[gram] = fnv1a64(gram.encode("utf-8")) % self.buckets
-                row.append(index)
-            token_buckets.append(row)
-        cache = self._bucket_cache
-        self._draw_buckets([i for i in dict.fromkeys(hashed.values()) if i not in cache])
-        for tok, row in zip(tokens, token_buckets):
+                r = hashed.get(gram)
+                if r is None:
+                    index = fnv1a64(gram.encode("utf-8")) % self.buckets
+                    r = hashed[gram] = slot.setdefault(index, len(slot))
+                grams.append(r)
+            token_rows.append(grams)
+        rows = self._draw_buckets(list(slot))
+        for tok, grams in zip(tokens, token_rows):
             vec = np.zeros(self.dim)
-            for index in row:
-                vec += cache[index]
-            vec /= len(row)
+            for r in grams:
+                vec += rows[r]
+            vec /= len(grams)
             vec.flags.writeable = False
             self._oov_cache[tok] = vec
 
-    def _draw_buckets(self, ids: list[int]) -> None:
-        """Cache bucket ``i``'s ``default_rng([seed, i]).uniform(-b, b, dim)``
-        for each of ``ids``, b = 0.5 / dim, bit for bit.
+    def _draw_buckets(self, ids: list[int]) -> np.ndarray:
+        """Rows ``default_rng([seed, i]).uniform(-b, b, dim)`` for each ``i``
+        of ``ids``, b = 0.5 / dim, bit for bit, as a new (len(ids), dim)
+        array.
 
         ``default_rng`` costs far more to build than to draw from, so the
         seed sequences are run for a whole block of ids at once, and one
@@ -225,22 +220,22 @@ class EmbeddingTable:
         gen = np.random.Generator(bitgen)
         pcg = {"state": 0, "inc": 0}
         state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        out = np.empty((len(ids), self.dim))
         for start in range(0, len(ids), _DRAW_BLOCK):
             block_ids = ids[start : start + _DRAW_BLOCK]
-            block = np.empty((len(block_ids), self.dim))
             words = _seed_words(self.seed, block_ids)
-            for row, s_hi, s_lo, q_hi, q_lo in zip(block, *(w.tolist() for w in words)):
+            rows = out[start : start + len(block_ids)]
+            for row, s_hi, s_lo, q_hi, q_lo in zip(rows, *(w.tolist() for w in words)):
                 # pcg64_set_seed: state 0, then step, add initstate, step.
                 inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
                 pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
                 pcg["inc"] = inc
                 bitgen.state = state
                 gen.random(out=row)
-            # uniform(low, high) is low + (high - low) * u.
-            block *= 2 * bound
-            block -= bound
-            block.flags.writeable = False
-            self._bucket_cache.update(zip(block_ids, block))
+        # uniform(low, high) is low + (high - low) * u.
+        out *= 2 * bound
+        out -= bound
+        return out
 
 
 def load_vectors(

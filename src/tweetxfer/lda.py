@@ -173,13 +173,6 @@ def train_gibbs(
     for _ in range(iterations):
         draws = rng.random(n_tokens).tolist()
         _sweep(docs_idx, zs, n_dt, n_wt, b_wt, n_t, c_t, alpha, beta, v_beta, draws)
-        if __debug__:
-            nd, nw, nt = np.array(n_dt), np.array(n_wt), np.array(n_t)
-            assert (nd >= 0).all() and (nw >= 0).all(), "negative count"
-            assert (nw.sum(axis=0) == nt).all(), "topic totals out of sync"
-            assert (nd.sum(axis=1) == list(map(len, docs_idx))).all(), "doc totals out of sync"
-            assert (np.array(b_wt) == nw + beta).all(), "stale word-topic floats"
-            assert (np.array(c_t) == nt + v_beta).all(), "stale topic-total floats"
 
     n_tw = np.ascontiguousarray(np.array(n_wt, dtype=np.int64).T)
     return LdaModel(

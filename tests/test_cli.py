@@ -311,6 +311,28 @@ class TestPretrainCli:
         assert (code, stdout) == (2, "")
         assert err == f"data error: {raw}: emoji task needs at least 2 labels, got {labels}\n"
 
+    def test_empty_topic_task_names_its_corpus(self, ws, trained, tmp_path):
+        raw = tmp_path / "unknown.jsonl"
+        texts = ["quux blorf zindel", "wibbel quarx flomp"]
+        corpus.save_raw([corpus.raw_tweet(str(i), t) for i, t in enumerate(texts)], str(raw))
+        code, stdout, err = _run([
+            "pretrain", "--task", "topic", "--corpus", str(raw), "--lda", trained["lda"],
+            "--config", ws["cfg"], "--out", str(tmp_path / "pre.ckpt"),
+        ])
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: {raw}: topic task has no examples\n"
+        assert not (tmp_path / "pre.ckpt").exists()
+
+    def test_empty_category_task_names_its_corpus(self, ws, tmp_path):
+        comments = tmp_path / "empty.jsonl"
+        comments.write_text("", encoding="utf-8")
+        code, stdout, err = _run([
+            "pretrain", "--task", "category", "--corpus", str(comments),
+            "--config", ws["cfg"], "--out", str(tmp_path / "pre.ckpt"),
+        ])
+        assert (code, stdout) == (2, "")
+        assert err == f"data error: {comments}: category task has no examples\n"
+
     def test_topic_task_requires_lda(self, ws, trained, tmp_path):
         code, _, err = _run([
             "pretrain", "--task", "topic", "--corpus", ws["topic_tweets"],

@@ -105,6 +105,23 @@ class TestFileParsing:
             load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("seed = sieben", "config seed: 'sieben' is not an integer"),
+        ("lr = schnell", "config lr: 'schnell' is not a number"),
+        ("kernel_sizes = 3;4;5", "config kernel_sizes: '3;4;5' is not a comma-separated int list"),
+    ],
+    ids=["int", "float", "kernel_list"],
+)
+def test_value_error_names_path_and_line(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# comment\nembed_dim = 12\n{line}\n", encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_config(str(path))
+    assert str(info.value) == f"{path}:3: {message}"
+
+
 class TestOverrides:
     def test_overrides_win_over_file(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -115,30 +117,22 @@ class TestBucketVectors:
         a = EmbeddingTable(dim=10, word_vectors={}, seed=5)
         b = EmbeddingTable(dim=10, word_vectors={}, seed=5)
         idx = [900, 3, 77, 3]
-        for i in idx:
-            a.bucket_vector(i)
-        for i in reversed(idx):
-            b.bucket_vector(i)
-        for i in idx:
-            np.testing.assert_array_equal(a.bucket_vector(i), b.bucket_vector(i))
+        rows_a = a._draw_buckets(idx)
+        rows_b = b._draw_buckets(idx[::-1])[::-1]
+        np.testing.assert_array_equal(rows_a, rows_b)
+        np.testing.assert_array_equal(rows_a[1], rows_a[3])
 
     def test_bounds_scale_with_dim(self):
         for dim in (4, 50, 300):
             table = EmbeddingTable(dim=dim, word_vectors={}, seed=1)
-            for i in range(30):
-                v = table.bucket_vector(i)
-                assert v.shape == (dim,)
-                assert np.all(np.abs(v) <= 0.5 / dim)
+            rows = table._draw_buckets(list(range(30)))
+            assert rows.shape == (30, dim)
+            assert np.all(np.abs(rows) <= 0.5 / dim)
 
     def test_seed_changes_vectors(self):
         a = EmbeddingTable(dim=8, word_vectors={}, seed=0)
         b = EmbeddingTable(dim=8, word_vectors={}, seed=1)
-        assert not np.allclose(a.bucket_vector(0), b.bucket_vector(0))
-
-    def test_vectors_are_read_only(self):
-        table = EmbeddingTable(dim=8, word_vectors={}, seed=0)
-        with pytest.raises(ValueError):
-            table.bucket_vector(0)[0] = 1.0
+        assert not np.allclose(a._draw_buckets([0]), b._draw_buckets([0]))
 
 
 class TestDrawBuckets:
@@ -151,21 +145,22 @@ class TestDrawBuckets:
         for dim in (1, 8, 300):
             table = EmbeddingTable(dim=dim, word_vectors={}, buckets=buckets, seed=seed)
             ids = [0, 1, buckets - 1]
-            table._draw_buckets(ids)
+            rows = table._draw_buckets(ids)
+            assert rows.shape == (len(ids), dim)
             bound = 0.5 / dim
-            for i in ids:
+            for i, row in zip(ids, rows):
                 ref = np.random.default_rng([seed, i]).uniform(-bound, bound, dim)
-                np.testing.assert_array_equal(table._bucket_cache[i], ref)
-                assert table._bucket_cache[i].tobytes() == ref.tobytes()
+                np.testing.assert_array_equal(row, ref)
+                assert row.tobytes() == ref.tobytes()
 
     def test_more_ids_than_one_block(self):
         table = EmbeddingTable(dim=3, word_vectors={}, seed=4)
         ids = list(range(5, 5 + embed._DRAW_BLOCK + 7))
-        table._draw_buckets(ids)
-        for i in (ids[0], ids[embed._DRAW_BLOCK - 1], ids[embed._DRAW_BLOCK], ids[-1]):
-            ref = np.random.default_rng([4, i]).uniform(-0.5 / 3, 0.5 / 3, 3)
-            np.testing.assert_array_equal(table._bucket_cache[i], ref)
-        assert all(not v.flags.writeable for v in table._bucket_cache.values())
+        rows = table._draw_buckets(ids)
+        assert rows.shape == (len(ids), 3)
+        for j in (0, embed._DRAW_BLOCK - 1, embed._DRAW_BLOCK, len(ids) - 1):
+            ref = np.random.default_rng([4, ids[j]]).uniform(-0.5 / 3, 0.5 / 3, 3)
+            np.testing.assert_array_equal(rows[j], ref)
 
 
 def _embed_reference(table: EmbeddingTable, token: str) -> np.ndarray:
@@ -202,12 +197,11 @@ class TestEmbedTokensBatched:
         batched.embed_tokens(self._TOKENS)
         for tok in self._TOKENS:
             single.embed_token(tok)
-        for got, want in ((batched._bucket_cache, single._bucket_cache),
-                          (batched._oov_cache, single._oov_cache)):
-            assert set(got) == set(want)
-            for key in want:
-                assert got[key].tobytes() == want[key].tobytes()
-                assert not got[key].flags.writeable
+        got, want = batched._oov_cache, single._oov_cache
+        assert set(got) == set(want)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes()
+            assert not got[key].flags.writeable
 
     def test_second_call_draws_nothing(self, monkeypatch):
         table = self._table()
@@ -228,14 +222,8 @@ class TestEmbedToken:
         """Recompute the fallback from the public pieces."""
         table = EmbeddingTable(dim=16, word_vectors={}, seed=9)
         for token in ("zug", "lokomotive", "x", "umläute"):
-            grams = char_ngrams(token)
-            expected = np.mean(
-                [
-                    table.bucket_vector(fnv1a64(g.encode("utf-8")) % table.buckets)
-                    for g in grams
-                ],
-                axis=0,
-            )
+            ids = [fnv1a64(g.encode("utf-8")) % table.buckets for g in char_ngrams(token)]
+            expected = np.mean(table._draw_buckets(ids), axis=0)
             np.testing.assert_allclose(table.embed_token(token), expected, rtol=0, atol=1e-15)
 
     def test_oov_deterministic_across_tables(self):
@@ -262,7 +250,7 @@ class TestEmbedToken:
         with pytest.raises(ValueError):
             vec[0] = 1.0
 
-    def test_repeated_tokens_match_fresh_per_token_lookups(self):
+    def test_repeated_tokens_match_fresh_per_token_lookups(self, monkeypatch):
         """A table reused across calls and repeats returns, bit for bit,
         what a fresh table computes token by token; a second pass over
         the same tokens draws no new buckets."""
@@ -270,13 +258,61 @@ class TestEmbedToken:
         tokens = ["der", "verspätung", "zug", "verspätung", "x", "der", "x", "<user>"] * 2
         table = EmbeddingTable(dim=10, word_vectors=vectors, seed=6)
         first = table.embed_tokens(tokens)
-        buckets = set(table._bucket_cache)
+        drawn = []
+        monkeypatch.setattr(table, "_draw_buckets", drawn.append)
         second = table.embed_tokens(tokens)
-        assert set(table._bucket_cache) == buckets
+        assert not any(drawn)
         assert set(table._oov_cache) == {"verspätung", "x", "<user>"}
         for tok, a, b in zip(tokens, first, second):
             fresh = EmbeddingTable(dim=10, word_vectors=vectors, seed=6).embed_token(tok)
             assert a.tobytes() == b.tobytes() == fresh.tobytes()
+
+
+def _distinct_words(n: int, seed: int) -> list[str]:
+    """``n`` distinct random words of 8 to 11 letters."""
+    rng = np.random.default_rng(seed)
+    letters = "abcdefghijklmnopqrstuvwxyzäöü"
+    words: dict[str, None] = {}
+    while len(words) < n:
+        size = int(rng.integers(8, 12))
+        words["".join(letters[int(i)] for i in rng.integers(0, len(letters), size))] = None
+    return list(words)
+
+
+class TestWhatTheTableKeeps:
+    def test_retains_only_one_vector_per_oov_word(self):
+        """Bucket rows die with the call that draws them: after encoding
+        300 distinct unknown words at dim 300 the table holds their 300
+        vectors and little more, not the thousands of buckets behind them."""
+        words, dim = _distinct_words(300, seed=31), 300
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = EmbeddingTable(dim=dim, word_vectors={}, seed=8)
+            out = table.embed_tokens(words)
+            assert out.shape == (300, dim)
+            del out
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table._oov_cache) == 300
+        assert retained <= 1.25 * 300 * dim * 8 + 64 * 1024
+
+    def test_later_words_equal_a_fresh_tables(self):
+        """Words met after others that share their n-grams get, byte for
+        byte, the vectors a fresh table gives them."""
+        first = ["verspätung", "verspätet", "zugausfall", "bahnsteig"]
+        later = ["verspätungen", "zugausfälle", "bahnsteige", "steig", "spät"]
+        shared = {g for w in first for g in char_ngrams(w)}
+        assert all(shared & set(char_ngrams(w)) for w in later)
+        for buckets in (1 << 18, 97):
+            reused = EmbeddingTable(dim=16, word_vectors={}, buckets=buckets, seed=4)
+            reused.embed_tokens(first)
+            got = reused.embed_tokens(later)
+            fresh = EmbeddingTable(dim=16, word_vectors={}, buckets=buckets, seed=4)
+            assert got.tobytes() == fresh.embed_tokens(later).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,51 @@ def _word_topic_purity(model, truth_by_prefix):
     return max(same, flipped) / len(assigned)
 
 
+@pytest.fixture
+def checked_sweeps(monkeypatch):
+    """Check the sampler's count invariants after every training sweep.
+
+    Wraps ``lda._sweep``; after each call whose global counts are
+    writable (training, not fold-in) it asserts that no count is
+    negative, that the word-topic columns sum to the topic totals, that
+    each document's topic counts sum to its length, and that the cached
+    floats equal their counts plus ``beta`` and ``v_beta`` exactly.
+    Yields the list of checked calls.
+    """
+    sweep = lda._sweep
+    checked = []
+
+    def wrapper(docs, zs, n_dt, n_wt, b_wt, n_t, c_t, alpha, beta, v_beta, draws):
+        sweep(docs, zs, n_dt, n_wt, b_wt, n_t, c_t, alpha, beta, v_beta, draws)
+        if n_wt is None:
+            return
+        nd, nw, nt = np.array(n_dt), np.array(n_wt), np.array(n_t)
+        assert (nd >= 0).all() and (nw >= 0).all() and (nt >= 0).all(), "negative count"
+        assert (nw.sum(axis=0) == nt).all(), "topic totals out of sync"
+        assert (nd.sum(axis=1) == [len(doc) for doc in docs]).all(), "doc totals out of sync"
+        assert (np.array(b_wt) == nw + beta).all(), "stale word-topic floats"
+        assert (np.array(c_t) == nt + v_beta).all(), "stale topic-total floats"
+        checked.append(len(draws))
+
+    monkeypatch.setattr(lda, "_sweep", wrapper)
+    return checked
+
+
+class TestSweepInvariants:
+    def test_train_gibbs_planted_topics(self, checked_sweeps):
+        docs, _ = planted_topic_docs(60, seed=1)
+        train_gibbs(docs, k=3, iterations=25, seed=0)
+        assert checked_sweeps == [sum(map(len, docs))] * 25
+
+    def test_cluster_users_cliques(self, checked_sweeps):
+        from tweetxfer.corpus import extract_mention_lists
+
+        tweets, _ = clique_mentions(n_cliques=5, users_per_clique=8, n_tweets=200, seed=4)
+        lists = extract_mention_lists(tweets, min_mentions=2, min_user_freq=1)
+        cluster_users(lists, k=50, iterations=20, seed=3)
+        assert len(checked_sweeps) == 20
+
+
 class TestTrainGibbs:
     def test_count_invariants(self):
         docs, _ = planted_topic_docs(60, seed=1)
@@ -491,7 +536,7 @@ class TestSamplePath:
             )
 
     def test_optimized_python_samples_the_same(self):
-        """``python -O`` drops the per-sweep invariant check, not a sample."""
+        """``python -O`` strips asserts; the counts it samples are the same."""
         script = (
             "import hashlib\n"
             "from tweetxfer.fixtures import planted_topic_docs\n"

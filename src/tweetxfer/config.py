@@ -2,7 +2,8 @@
 
 Config files are plain ``key = value`` lines with ``#`` comments.
 Unknown keys and out-of-range values are rejected by name, so a typo
-fails loudly instead of silently training with a default.
+fails loudly instead of silently training with a default.  An error
+about a value a file set starts with that file's ``<path>:<line>``.
 
 The optimizer's only key is ``lr``.  The other Nadam constants
 (``net.BETA1`` = 0.99, ``net.BETA2`` = 0.999, ``net.EPSILON`` = 1e-8 and
@@ -71,32 +72,40 @@ _NON_NEGATIVE_FLOAT = ("leaky_slope", "lda_alpha", "baseline_l2")
 _UNIT_FLOAT = ("dropout",)
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
+def _validate(cfg: RunConfig, where: dict[str, str]) -> RunConfig:
+    """Range-check ``cfg``; a single-key error starts with ``where[key]``,
+    the ``<path>:<line>`` that set the key, when a file set it."""
+
+    def fail(name: str, rule: str) -> DataError:
+        place = f"{where[name]}: " if name in where else ""
+        return DataError(f"{place}config {name} {rule}")
+
     for name in _POSITIVE_FLOAT + _NON_NEGATIVE_FLOAT + _UNIT_FLOAT:
         if not math.isfinite(getattr(cfg, name)):
-            raise DataError(f"config {name} must be finite")
+            raise fail(name, "must be finite")
     for name in _POSITIVE_INT:
         if getattr(cfg, name) < 1:
-            raise DataError(f"config {name} must be a positive integer")
+            raise fail(name, "must be a positive integer")
     for name in _NON_NEGATIVE_INT:
         if getattr(cfg, name) < 0:
-            raise DataError(f"config {name} must be >= 0")
+            raise fail(name, "must be >= 0")
     for name in _POSITIVE_FLOAT:
         if getattr(cfg, name) <= 0:
-            raise DataError(f"config {name} must be > 0")
+            raise fail(name, "must be > 0")
     for name in _NON_NEGATIVE_FLOAT:
         if getattr(cfg, name) < 0:
-            raise DataError(f"config {name} must be >= 0")
+            raise fail(name, "must be >= 0")
     for name in _UNIT_FLOAT:
         if not 0.0 <= getattr(cfg, name) < 1.0:
-            raise DataError(f"config {name} must be in [0, 1)")
+            raise fail(name, "must be in [0, 1)")
     if cfg.ngram_min > cfg.ngram_max:
         raise DataError("config ngram_min must not exceed ngram_max")
     ks = cfg.kernel_sizes
     if not ks or list(ks) != sorted(set(ks)) or min(ks) < 1:
-        raise DataError("config kernel_sizes must be distinct ascending positive ints")
-    if cfg.k_topics < 2 or cfg.k_users < 2:
-        raise DataError("config k_topics and k_users must be at least 2")
+        raise fail("kernel_sizes", "must be distinct ascending positive ints")
+    for name in ("k_topics", "k_users"):
+        if getattr(cfg, name) < 2:
+            raise fail(name, "must be at least 2")
     return cfg
 
 
@@ -125,6 +134,7 @@ def _parse_value(where: str, name: str, kind: type, raw: str):
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then file values, then explicit overrides; validated."""
     cfg = RunConfig()
+    where: dict[str, str] = {}  # key -> "<path>:<line>" of the file line that set it
     types = {f.name: (int if f.type == "int" else float if f.type == "float" else tuple)
              for f in fields(RunConfig)}
     if path is not None:
@@ -139,10 +149,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 key = key.strip()
                 if key not in types:
                     raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-                setattr(cfg, key, _parse_value(f"{path}:{lineno}", key, types[key], raw))
+                where[key] = f"{path}:{lineno}"
+                setattr(cfg, key, _parse_value(where[key], key, types[key], raw))
     for key, value in (overrides or {}).items():
         if key not in types:
             raise DataError(f"unknown config key {key!r}")
         if value is not None:
             setattr(cfg, key, value)
-    return _validate(cfg)
+            where.pop(key, None)
+    return _validate(cfg, where)

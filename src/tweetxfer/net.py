@@ -9,6 +9,10 @@ gradients, optimizer moments and updates.
 ``forward`` keeps the trace that ``backward`` reads in train mode only.
 Eval mode keeps none, so it holds only one kernel's activations at a
 time; train mode with dropout 0 gives eval's probabilities bit for bit.
+Both LSTM directions write into one (B, T, 2H) output.  Each convolution
+kernel is one (B*P, k*2H) @ (k*2H, F) product over every window of the
+batch, the unrolled convolution of Chellapilla, Puri & Simard (2006), so
+how far a batch is padded moves no probability.
 
 Input batches carry per-token embedding rows, gathered by ``make_batch``
 from token ids into one embedding matrix, plus each row's length.
@@ -253,14 +257,19 @@ def _lstm_direction(
     U: np.ndarray,
     b: np.ndarray,
     keep_trace: bool,
+    h_out: np.ndarray | None = None,
 ) -> _LstmTrace:
-    """One direction, left to right; the backward one runs on time-flipped views."""
+    """One direction, left to right; the backward one runs on time-flipped views.
+
+    Each step's state goes into ``h_out``, a (B, T, H) array or view,
+    new when None.
+    """
     B, T, _ = x.shape
     H = U.shape[0]
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     kept = [np.zeros((B, T, n)) for n in (4 * H, H, H)] if keep_trace else [None] * 3
-    tr = _LstmTrace(*kept, h_out=np.zeros((B, T, H)))
+    tr = _LstmTrace(*kept, h_out=np.empty((B, T, H)) if h_out is None else h_out)
     # sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh serves all four gates:
     # halve the i, f, o pre-activations, then map each t to scale * t + shift.
     # Halving is exact in floating point, so halving the weights once gives
@@ -383,8 +392,15 @@ def forward(
     Train mode applies inverted dropout to the BiLSTM output sequence
     and to each pooled convolution vector, with masks drawn from
     ``dropout_seed`` in a fixed order, and returns the cache.  Eval mode
-    is deterministic and keeps no trace: its cache is None.  Train mode
-    with ``dropout=0.0`` gives eval's probabilities bit for bit.
+    is deterministic and keeps no trace: its cache is None, and it pools
+    each kernel with a max alone, without the winning positions that
+    ``backward`` needs.  Train mode with ``dropout=0.0`` gives eval's
+    probabilities bit for bit.
+
+    Every kernel's pre-activations come from one GEMM over all windows of
+    the batch, so padding frames appended to a batch change no output
+    byte.  Batch size moves only the last bits of small batches, where
+    BLAS takes its small-matrix path (see ``transfer.predict_dataset``).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -419,11 +435,15 @@ def forward(
             pool_masks[k] = (rng.random((B, params.filters)) < keep) / keep
 
     traced = mode == "train"
+    H = params.hidden
+    h_cat = np.empty((B, T, 2 * H))
     fw, bw = (
-        _lstm_direction(x, e, *(params.arrays[f"lstm_{d}_{n}"] for n in "WUb"), traced)
-        for d, x, e in (("fw", emb, eff), ("bw", emb[:, ::-1], eff[:, ::-1]))
+        _lstm_direction(x, e, *(params.arrays[f"lstm_{d}_{n}"] for n in "WUb"), traced, out)
+        for d, x, e, out in (
+            ("fw", emb, eff, h_cat[:, :, :H]),
+            ("bw", emb[:, ::-1], eff[:, ::-1], h_cat[:, ::-1, H:]),
+        )
     )
-    h_cat = np.concatenate([fw.h_out, bw.h_out[:, ::-1]], axis=2)
     if not traced:
         fw = bw = None  # only the cache reads them again
     h_drop = h_cat * lstm_mask if lstm_mask is not None else h_cat
@@ -433,20 +453,24 @@ def forward(
     positions = np.arange(T)
     for k in params.kernels:
         cols = _windows(h_drop, k)
-        pre = cols @ params.arrays[f"conv{k}_W"] + params.arrays[f"conv{k}_b"]
         p = T - k + 1
+        # One product over every window of the batch, so a window's
+        # rounding does not depend on how far its batch is padded.
+        pre = (cols.reshape(B * p, -1) @ params.arrays[f"conv{k}_W"]).reshape(B, p, -1)
+        pre += params.arrays[f"conv{k}_b"]
+        del cols
         valid = (positions[:p][None, :] + k) <= lengths[:, None]
         # Leaky ReLU is monotone, so pooling before it picks the same value
         # bit for bit.  Masking in place keeps signed zeros (adding 0/-inf
         # would not).
         pre[~valid] = -np.inf
-        arg = pre.argmax(axis=1)
-        top = np.take_along_axis(pre, arg[:, None, :], axis=1)[:, 0]
-        del cols, pre
-        pooled = _leaky(top, params.leaky_slope)
+        top = pre.max(axis=1)
         pool_mask = pool_masks.get(k)
+        if traced:
+            conv[k] = _ConvTrace(arg=pre.argmax(axis=1), top=top, pool_mask=pool_mask)
+        del pre
+        pooled = _leaky(top, params.leaky_slope)
         pooled_parts.append(pooled * pool_mask if pool_mask is not None else pooled)
-        conv[k] = _ConvTrace(arg=arg, top=top, pool_mask=pool_mask)
 
     z = np.concatenate(pooled_parts + [batch.cluster_features], axis=1)
     a_pre = z @ params.arrays["dense_W"] + params.arrays["dense_b"]

@@ -334,10 +334,13 @@ def predict_dataset(
     by index, so the result comes back in input order.  The default of 64
     keeps memory small: a forward's largest buffer, the widest kernel's
     windows, grows with the batch, while eval throughput is flat from 32
-    to 512.  Batch size moves no probability except in the last bits, and
-    only where BLAS rounds a small product its own way: in a batch of one,
-    and in a batch padded to so few tokens that the conv products take
-    BLAS's small-matrix path (10 or fewer at paper sizes, OpenBLAS 0.3.31).
+    to 512.  How far a batch is padded moves no probability.  Batch size
+    moves none either for batches of 16 or more at paper sizes with the
+    coarse head and 51 cluster features (at one BLAS thread, OpenBLAS
+    0.3.31); ``test_net.TestShapeInvariance`` checks both.  Smaller
+    batches can differ in the last bits, because BLAS rounds a small
+    product its own way: OpenBLAS takes its small-matrix path for the
+    dense layer when B x (dense inputs) x (dense units) is at most 10^6.
     """
     preds = np.empty(len(data), dtype=np.int64)
     order = np.argsort([len(s) for s in data.ids], kind="stable")

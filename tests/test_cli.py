@@ -898,7 +898,8 @@ class TestNonFiniteConfig:
             "--out", str(out),
         ])
         assert code == 2
-        assert err == "data error: config lda_alpha must be finite\n"
+        line = (_CFG + "lda_alpha = inf\n").count("\n")
+        assert err == f"data error: {cfg}:{line}: config lda_alpha must be finite\n"
         assert not out.exists()
 
     def test_finetune_config_file(self, trained, tmp_path):
@@ -910,5 +911,6 @@ class TestNonFiniteConfig:
             "--config", str(cfg), "--out", str(out),
         ])
         assert code == 2
-        assert err == "data error: config lr must be finite\n"
+        line = (_CFG + "lr = nan\n").count("\n")
+        assert err == f"data error: {cfg}:{line}: config lr must be finite\n"
         assert not out.exists()

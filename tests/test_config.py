@@ -1,4 +1,5 @@
 import ast
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -120,6 +121,42 @@ def test_value_error_names_path_and_line(tmp_path, line, message):
     with pytest.raises(DataError) as info:
         load_config(str(path))
     assert str(info.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize(
+    "key, raw, value, rule",
+    [
+        ("lr", "0", 0.0, "must be > 0"),
+        ("lda_alpha", "inf", math.inf, "must be finite"),
+        ("dropout", "1.0", 1.0, "must be in [0, 1)"),
+        ("embed_dim", "0", 0, "must be a positive integer"),
+        ("seed", "-1", -1, "must be >= 0"),
+        ("kernel_sizes", "4,3", (4, 3), "must be distinct ascending positive ints"),
+        ("k_users", "1", 1, "must be at least 2"),
+    ],
+    ids=["positive_float", "finite", "unit_float", "positive_int", "non_negative_int",
+         "kernel_list", "k_users"],
+)
+def test_range_error_names_path_and_line(tmp_path, key, raw, value, rule):
+    """A range check on a value from a file names the line that set it;
+    the same value from a flag keeps the bare message."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# comment\nembed_dim = 12\n{key} = {raw}\n", encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_config(str(path))
+    assert str(info.value) == f"{path}:3: config {key} {rule}"
+    with pytest.raises(DataError) as info:
+        load_config(overrides={key: value})
+    assert str(info.value) == f"config {key} {rule}"
+
+
+def test_flag_over_a_bad_file_value_is_checked_as_the_flag(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lr = 0\nseed = 3\n", encoding="utf-8")
+    assert load_config(str(path), overrides={"lr": 0.5}).lr == 0.5
+    with pytest.raises(DataError) as info:
+        load_config(str(path), overrides={"seed": -2})
+    assert str(info.value) == "config seed must be >= 0"
 
 
 class TestOverrides:

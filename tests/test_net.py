@@ -515,17 +515,16 @@ _PINNED = {
 }
 
 
-@pytest.fixture(scope="module")
-def pinned_digests():
-    """``_pinned_digests`` from a fresh interpreter with one BLAS thread:
-    at paper sizes OpenBLAS rounds differently with more threads."""
+def _in_one_thread(name):
+    """``test_net.<name>()``'s JSON result from a fresh interpreter with one
+    BLAS thread: at paper sizes OpenBLAS rounds differently with more threads."""
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(net.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import json, sys\nsys.path.insert(0, sys.argv[1])\nimport test_net\n"
-        "print(json.dumps(test_net._pinned_digests()))\n"
+        f"print(json.dumps(test_net.{name}()))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, tests], env=env, capture_output=True, text=True,
@@ -533,6 +532,11 @@ def pinned_digests():
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def pinned_digests():
+    return _in_one_thread("_pinned_digests")
 
 
 class TestPinnedOutputs:
@@ -545,6 +549,66 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("key", list(_PINNED))
     def test_matches_recorded_digest(self, pinned_digests, key):
         assert pinned_digests[key] == _PINNED[key]
+
+
+def _rows_changed(a, b):
+    return int((a != b).any(axis=1).sum())
+
+
+def _shape_invariance():
+    """Rows whose eval probabilities change with padding or batch size, at
+    the paper's sizes with the coarse head and 51 cluster features.
+
+    ``padding``: a B=64 batch of 5-10-token rows at its own width, then
+    padded to 20 and to 40 frames.  ``batch_size``: 256 rows of 3-20 tokens,
+    all padded to 20 frames, run in batches of 16 and 64 against one of 256.
+    """
+    params = init_params(2, 51, seed=3)
+    rng = np.random.default_rng(11)
+
+    def probs(seqs, feats, frames=0):
+        batch = _rows_batch(seqs, feats)
+        B, T, E = batch.embeddings.shape
+        if frames > T:
+            wide = np.concatenate([batch.embeddings, np.zeros((B, frames - T, E))], axis=1)
+            batch = Batch(wide, batch.lengths, batch.cluster_features)
+        return forward(params, batch, mode="eval")[0]
+
+    def rows(n, lo, hi):
+        seqs = [rng.normal(0.0, 0.3, (int(t), 300)) for t in rng.integers(lo, hi + 1, n)]
+        return seqs, (rng.random((n, 51)) < 0.3).astype(np.float64)
+
+    seqs, feats = rows(64, 5, 10)
+    own = probs(seqs, feats)
+    padding = {str(f): _rows_changed(probs(seqs, feats, f), own) for f in (20, 40)}
+    seqs, feats = rows(256, 3, 20)
+    whole = probs(seqs, feats, 20)
+    batch_size = {
+        str(B): _rows_changed(
+            np.concatenate([probs(seqs[i : i + B], feats[i : i + B], 20) for i in range(0, 256, B)]),
+            whole,
+        )
+        for B in (16, 64)
+    }
+    return {"padding": padding, "batch_size": batch_size}
+
+
+class TestShapeInvariance:
+    """The determinism promise of ``transfer.predict_dataset``, at one BLAS
+    thread: padding never moves an eval probability, and batches of 16, 64
+    and 256 agree bit for bit at equal padding.  Smaller batches may not:
+    OpenBLAS 0.3.31 sends the dense layer's product down its small-matrix
+    path when B x 651 x 100 is at most 10^6, and rounds it its own way."""
+
+    @pytest.fixture(scope="class")
+    def changed(self):
+        return _in_one_thread("_shape_invariance")
+
+    def test_padding_moves_no_probability(self, changed):
+        assert changed["padding"] == {"20": 0, "40": 0}
+
+    def test_batch_sizes_agree_at_equal_padding(self, changed):
+        assert changed["batch_size"] == {"16": 0, "64": 0}
 
 
 def _nadam_scalar_reference(x0, grads, lr, beta1=0.99, beta2=0.999, eps=1e-8, psi=0.004):

@@ -5,7 +5,8 @@ H=100, F=200, kernels 3/4/5, dense 100, 51 cluster features, 2 classes)
 and writes one JSON run, keyed by ``--label``, into ``--out``; runs under
 other labels already in that file are kept, so one file can hold the
 parent commit's run beside a change's.  Each timing is the minimum and
-the median of ``--repeats`` calls, after one untimed warm-up call.
+the median of ``repeats`` calls (7 at paper sizes), after one untimed
+warm-up call.
 
 A fixed float64 GEMM and a fixed pure-Python loop are timed in the same
 run.  Raw milliseconds taken at different times on a shared machine do
@@ -13,10 +14,11 @@ not compare; ratios to these calibrations carry over better.
 
     python bench/layers.py --label change --out BENCH_20.json
     python bench/layers.py --src OTHER_CHECKOUT/src --label parent --out BENCH_20.json
-    python bench/layers.py --tiny --repeats 2 --label smoke --out smoke.json
+    python bench/layers.py --tiny --label smoke --out smoke.json
 
-``--tiny`` shrinks the network and the batches so the whole run takes
-about a second; its numbers only check that the script works.
+``--tiny`` shrinks the network and the batches, and times each call
+twice, so the whole run takes about a second; its numbers only check
+that the script works.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ PAPER = dict(
     cluster_width=51, n_classes=2,
     train_shapes=((32, 20), (128, 20)),  # (B, T): train and eval forward, backward
     eval_shapes=((64, 14), (64, 40)),  # (B, T): eval forward only
-    gemm=512, loop=1_000_000,
+    gemm=512, loop=1_000_000, repeats=7,
 )
 TINY = dict(
     net=dict(embed_dim=12, hidden=6, filters=5, dense=8, kernels=(2, 3)),
     cluster_width=3, n_classes=2,
     train_shapes=((4, 6), (8, 6)),
     eval_shapes=((4, 5), (4, 9)),
-    gemm=64, loop=10_000,
+    gemm=64, loop=10_000, repeats=2,
 )
 
 
@@ -57,11 +59,8 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
         "--src", default=os.path.join(os.path.dirname(here), "src"),
         help="directory holding the tweetxfer package (default: this checkout's src)",
     )
-    parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--tiny", action="store_true", help="tiny sizes, for a smoke test")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     if not os.path.isfile(os.path.join(args.src, "tweetxfer", "__init__.py")):
         parser.error(f"no tweetxfer package under {args.src}")
     return args
@@ -96,12 +95,15 @@ def _environment(np) -> dict:
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cpu": cpu,
-        "cpu_count": len(os.sched_getaffinity(0)),
+        # sched_getaffinity is Linux-only; it counts the CPUs this process may use.
+        "cpu_count": (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        ),
     }
 
 
-def _calibration(np, sizes: dict, repeats: int) -> dict:
-    n = sizes["gemm"]
+def _calibration(np, sizes: dict) -> dict:
+    n, repeats = sizes["gemm"], sizes["repeats"]
     rng = np.random.default_rng(0)
     a, b = rng.random((n, n)), rng.random((n, n))
 
@@ -117,8 +119,8 @@ def _calibration(np, sizes: dict, repeats: int) -> dict:
     }
 
 
-def _timings(net, fixtures, sizes: dict, repeats: int) -> dict:
-    arch = sizes["net"]
+def _timings(net, fixtures, sizes: dict) -> dict:
+    arch, repeats = sizes["net"], sizes["repeats"]
     params = net.init_params(sizes["n_classes"], sizes["cluster_width"], seed=1, **arch)
     masks = {"g1234": net.ALL_LAYERS, **{f"g{g}": net.FreezeMask.of(g) for g in net.LAYER_IDS}}
 
@@ -178,9 +180,8 @@ def main(argv: list[str] | None = None) -> int:
     run = {
         "environment": _environment(np),
         "sizes": sizes,
-        "repeats": args.repeats,
-        "calibration": _calibration(np, sizes, args.repeats),
-        "timings": _timings(net, fixtures, sizes, args.repeats),
+        "calibration": _calibration(np, sizes),
+        "timings": _timings(net, fixtures, sizes),
     }
     doc["runs"][args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:

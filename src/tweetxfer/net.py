@@ -12,7 +12,8 @@ time; train mode with dropout 0 gives eval's probabilities bit for bit.
 Both LSTM directions write into one (B, T, 2H) output.  Each convolution
 kernel is one (B*P, k*2H) @ (k*2H, F) product over every window of the
 batch, the unrolled convolution of Chellapilla, Puri & Simard (2006), so
-how far a batch is padded moves no probability.
+how far a batch is padded moves no probability unless a product is small
+enough for BLAS to round it its own way (see ``transfer.predict_dataset``).
 
 Input batches carry per-token embedding rows, gathered by ``make_batch``
 from token ids into one embedding matrix, plus each row's length.
@@ -257,19 +258,18 @@ def _lstm_direction(
     U: np.ndarray,
     b: np.ndarray,
     keep_trace: bool,
-    h_out: np.ndarray | None = None,
+    h_out: np.ndarray,
 ) -> _LstmTrace:
     """One direction, left to right; the backward one runs on time-flipped views.
 
-    Each step's state goes into ``h_out``, a (B, T, H) array or view,
-    new when None.
+    Each step's state goes into ``h_out``, a (B, T, H) array or view.
     """
     B, T, _ = x.shape
     H = U.shape[0]
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     kept = [np.zeros((B, T, n)) for n in (4 * H, H, H)] if keep_trace else [None] * 3
-    tr = _LstmTrace(*kept, h_out=np.empty((B, T, H)) if h_out is None else h_out)
+    tr = _LstmTrace(*kept, h_out=h_out)
     # sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh serves all four gates:
     # halve the i, f, o pre-activations, then map each t to scale * t + shift.
     # Halving is exact in floating point, so halving the weights once gives
@@ -399,8 +399,9 @@ def forward(
 
     Every kernel's pre-activations come from one GEMM over all windows of
     the batch, so padding frames appended to a batch change no output
-    byte.  Batch size moves only the last bits of small batches, where
-    BLAS takes its small-matrix path (see ``transfer.predict_dataset``).
+    byte, except in the few-row batches where BLAS takes its small-matrix
+    path.  Batch size moves only the last bits of small batches, for the
+    same reason (see ``transfer.predict_dataset``).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")

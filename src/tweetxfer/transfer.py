@@ -334,13 +334,15 @@ def predict_dataset(
     by index, so the result comes back in input order.  The default of 64
     keeps memory small: a forward's largest buffer, the widest kernel's
     windows, grows with the batch, while eval throughput is flat from 32
-    to 512.  How far a batch is padded moves no probability.  Batch size
-    moves none either for batches of 16 or more at paper sizes with the
-    coarse head and 51 cluster features (at one BLAS thread, OpenBLAS
-    0.3.31); ``test_net.TestShapeInvariance`` checks both.  Smaller
-    batches can differ in the last bits, because BLAS rounds a small
-    product its own way: OpenBLAS takes its small-matrix path for the
-    dense layer when B x (dense inputs) x (dense units) is at most 10^6.
+    to 512.  At paper sizes with the coarse head and 51 cluster features
+    (one BLAS thread, OpenBLAS 0.3.31), how far a batch of 8 or more rows
+    is padded moves no probability, and batches of 16 or more agree with
+    one another; ``test_net.TestShapeInvariance`` checks both.  Smaller
+    batches can differ in the last bits, because OpenBLAS rounds a
+    product of at most 10^6 multiply-adds its own way: the dense layer's
+    for B <= 15, and a conv kernel's (B*P x k*2H x F) when a batch of
+    1-4 rows is only a few tokens wide, so padding such a batch can move
+    its probabilities too.
     """
     preds = np.empty(len(data), dtype=np.int64)
     order = np.argsort([len(s) for s in data.ids], kind="stable")

@@ -19,7 +19,7 @@ _TIMINGS = {
 
 def _bench(out, label):
     return subprocess.run(
-        [sys.executable, _SCRIPT, "--tiny", "--repeats", "2", "--label", label, "--out", str(out)],
+        [sys.executable, _SCRIPT, "--tiny", "--label", label, "--out", str(out)],
         capture_output=True, text=True, timeout=60,
     )
 
@@ -48,14 +48,14 @@ def test_file_keeps_every_labelled_run(doc):
 @pytest.mark.parametrize("label", ["before", "after"])
 def test_run_schema(doc, label):
     run = doc["runs"][label]
-    assert set(run) == {"environment", "sizes", "repeats", "calibration", "timings"}
+    assert set(run) == {"environment", "sizes", "calibration", "timings"}
     env = run["environment"]
     assert set(env) == {"blas_threads", "blas", "numpy", "python", "cpu", "cpu_count"}
     assert env["blas_threads"] == 1
     assert set(env["blas"]) == {"name", "version"}
     assert isinstance(env["numpy"], str) and isinstance(env["python"], str)
     assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
-    assert run["repeats"] == 2
+    assert run["sizes"]["repeats"] == 2
     assert run["sizes"]["net"]["kernels"] == [2, 3]
     assert set(run["calibration"]) == {"gemm_64", "python_loop_10000"}
     assert set(run["timings"]) == _TIMINGS

@@ -1,6 +1,7 @@
-"""Layer bench: forward, backward and Nadam-step times of the BiLSTM-CNN.
+"""Layer bench: forward, backward, Nadam-step and predict_dataset times of the BiLSTM-CNN.
 
-Times each network layer call in-process at the paper's sizes (E=300,
+Times each network layer call, and ``transfer.predict_dataset`` over a
+fixed dataset of 256 tweets, in-process at the paper's sizes (E=300,
 H=100, F=200, kernels 3/4/5, dense 100, 51 cluster features, 2 classes)
 and writes one JSON run, keyed by ``--label``, into ``--out``; runs under
 other labels already in that file are kept, so one file can hold the
@@ -39,6 +40,10 @@ PAPER = dict(
     cluster_width=51, n_classes=2,
     train_shapes=((32, 20), (128, 20)),  # (B, T): train and eval forward, backward
     eval_shapes=((64, 14), (64, 40)),  # (B, T): eval forward only
+    # transfer.predict_dataset over a fixed dataset: tweets, their token
+    # counts and the vocabulary they draw from, so a token recurs about six
+    # times, as in the perfbench classify workload.
+    predict=dict(tweets=256, tokens=(20, 40), vocab=1300),
     gemm=512, loop=1_000_000, repeats=7,
 )
 TINY = dict(
@@ -46,6 +51,7 @@ TINY = dict(
     cluster_width=3, n_classes=2,
     train_shapes=((4, 6), (8, 6)),
     eval_shapes=((4, 5), (4, 9)),
+    predict=dict(tweets=16, tokens=(3, 6), vocab=20),
     gemm=64, loop=10_000, repeats=2,
 )
 
@@ -119,7 +125,23 @@ def _calibration(np, sizes: dict) -> dict:
     }
 
 
-def _timings(net, fixtures, sizes: dict) -> dict:
+def _dataset(np, transfer, sizes: dict):
+    """A fixed ``EncodedDataset`` of ``sizes["predict"]`` random tweets."""
+    spec, dim = sizes["predict"], sizes["net"]["embed_dim"]
+    rng = np.random.default_rng(4)
+    lo, hi = spec["tokens"]
+    matrix = rng.normal(0.0, 0.3, (spec["vocab"] + 1, dim))
+    matrix[0] = 0.0
+    n = spec["tweets"]
+    return transfer.EncodedDataset(
+        ids=tuple(rng.integers(1, spec["vocab"] + 1, k) for k in rng.integers(lo, hi + 1, n)),
+        matrix=matrix,
+        cluster_features=(rng.random((n, sizes["cluster_width"])) < 0.1).astype(np.float64),
+        labels=np.zeros(n, dtype=np.int64),
+    )
+
+
+def _timings(np, net, transfer, fixtures, sizes: dict) -> dict:
     arch, repeats = sizes["net"], sizes["repeats"]
     params = net.init_params(sizes["n_classes"], sizes["cluster_width"], seed=1, **arch)
     masks = {"g1234": net.ALL_LAYERS, **{f"g{g}": net.FreezeMask.of(g) for g in net.LAYER_IDS}}
@@ -148,6 +170,11 @@ def _timings(net, fixtures, sizes: dict) -> dict:
             lambda: net.forward(params, data, mode="eval"), repeats
         )
 
+    dataset = _dataset(np, transfer, sizes)
+    out[f"predict_dataset.n{len(dataset)}"] = _stats(
+        lambda: transfer.predict_dataset(params, dataset), repeats
+    )
+
     # The step updates its copy in place; a constant gradient keeps every
     # repeat's arithmetic the same size.
     B, T = sizes["train_shapes"][0]
@@ -174,14 +201,14 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
 
-    from tweetxfer import fixtures, net
+    from tweetxfer import fixtures, net, transfer
 
     sizes = TINY if args.tiny else PAPER
     run = {
         "environment": _environment(np),
         "sizes": sizes,
         "calibration": _calibration(np, sizes),
-        "timings": _timings(net, fixtures, sizes),
+        "timings": _timings(np, net, transfer, fixtures, sizes),
     }
     doc["runs"][args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -15,8 +15,11 @@ batch, the unrolled convolution of Chellapilla, Puri & Simard (2006), so
 how far a batch is padded moves no probability unless a product is small
 enough for BLAS to round it its own way (see ``transfer.predict_dataset``).
 
-Input batches carry per-token embedding rows, gathered by ``make_batch``
-from token ids into one embedding matrix, plus each row's length.
+Input batches carry each row's length and either per-token embedding
+rows, gathered by ``make_batch`` from token ids into one embedding
+matrix, or, for eval, the padded ids themselves plus a ``GateTable``:
+every matrix row's LSTM input product, computed once for a whole
+dataset, which the LSTM steps read in place of multiplying each frame.
 Sequences shorter than the widest convolution kernel are treated as if
 padded with zero-embedding tokens up to that width, so every kernel
 always sees at least one window.  Frames past a row's length, floored
@@ -179,19 +182,65 @@ def init_params(n_classes: int, cluster_width: int, seed: int = 0, **sizes) -> N
     return draw_arrays(params, LAYER_IDS, seed)
 
 
+def _gate_scale(hidden: int) -> np.ndarray:
+    """Factor for each of the 4H LSTM gate pre-activations: 0.5 for the
+    i, f and o gates, 1 for g.
+
+    sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh serves all four gates
+    once the i, f, o pre-activations are halved.  Halving is exact in
+    floating point, so halving the weights once gives the same
+    pre-activations as halving every step's sum.
+    """
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    return scale
+
+
+@dataclass(frozen=True)
+class GateTable:
+    """Each embedding-matrix row's LSTM input product, per direction.
+
+    Row r of ``fw`` is ``matrix[r] @ lstm_fw_W`` with the i, f, o columns
+    halved (``_gate_scale``), bit for bit what an eval step computes for
+    a frame holding token r; likewise ``bw``.  It holds 8H floats per
+    matrix row and is valid only while ``params``' LSTM weights stay as
+    they were when ``gate_table`` built it.
+    """
+
+    params: NetworkParams
+    fw: np.ndarray  # (rows, 4H)
+    bw: np.ndarray  # (rows, 4H)
+
+
+def gate_table(params: NetworkParams, matrix: np.ndarray) -> GateTable:
+    """Multiply every row of ``matrix`` through both LSTM directions' input
+    weights at once.  A product's rows do not depend on how many rows it
+    has once it has two, so a table of at least two rows gives each step
+    the bytes of its own (B, E) @ (E, 4H) product for B >= 2."""
+    scale = _gate_scale(params.hidden)
+    fw, bw = (matrix @ (params.arrays[f"lstm_{d}_W"] * scale) for d in ("fw", "bw"))
+    return GateTable(params=params, fw=fw, bw=bw)
+
+
 @dataclass(frozen=True)
 class Batch:
-    """Embedded input sequences, padded, with their lengths and side features."""
+    """Input sequences, padded, with their lengths and side features.
 
-    embeddings: np.ndarray  # (B, T, embed_dim), zero rows at padding
+    The sequences come as gathered ``embeddings``, or, in a batch for eval
+    only, as ``ids`` into a ``table``; ``embeddings`` is then None.
+    """
+
+    embeddings: np.ndarray | None  # (B, T, embed_dim), zero rows at padding
     lengths: np.ndarray  # (B,) int, real tokens per row; frames past them are padding
     cluster_features: np.ndarray  # (B, cluster_width)
     labels: np.ndarray | None = None  # (B,) int64
+    ids: np.ndarray | None = None  # (B, T) rows of ``table``, 0 at padding
+    table: GateTable | None = None
 
 
 def make_batch(
     ids: list[np.ndarray],
-    matrix: np.ndarray,
+    matrix: np.ndarray | GateTable,
     cluster_features: np.ndarray | list,
     labels: np.ndarray | list | None = None,
     max_len: int = 100,
@@ -201,7 +250,9 @@ def make_batch(
     ``ids`` index rows of ``matrix``, whose row 0 is the zero padding
     vector; id 0 never names a token.  Sequences longer than ``max_len``
     tokens are truncated.  Padding rows are zero; each row's length says
-    where its padding starts.
+    where its padding starts.  Given a ``GateTable`` of the embedding
+    matrix in place of the matrix, the batch keeps the padded ids and the
+    table instead of gathering rows, and only eval ``forward`` accepts it.
     """
     if not ids:
         raise ValueError("batch needs at least one sequence")
@@ -218,9 +269,9 @@ def make_batch(
         lab = np.asarray(labels, dtype=np.int64)
         if lab.shape != (len(clipped),):
             raise ValueError("labels must align with sequences")
-    return Batch(
-        embeddings=matrix[padded], lengths=lengths, cluster_features=feats, labels=lab,
-    )
+    if isinstance(matrix, GateTable):
+        return Batch(None, lengths, feats, lab, ids=padded, table=matrix)
+    return Batch(matrix[padded], lengths, feats, lab)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -259,28 +310,30 @@ def _lstm_direction(
     b: np.ndarray,
     keep_trace: bool,
     h_out: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> _LstmTrace:
     """One direction, left to right; the backward one runs on time-flipped views.
 
     Each step's state goes into ``h_out``, a (B, T, H) array or view.
+    Step t's input product is ``x[:, t] @ W`` for a (B, T, E) ``x``.
+    Given ``rows``, one direction of a ``GateTable``, ``x`` is a (B, T) id
+    matrix and each step reads its product from ``rows``; ``W`` then goes
+    unused.
     """
-    B, T, _ = x.shape
+    B, T = x.shape[:2]
     H = U.shape[0]
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     kept = [np.zeros((B, T, n)) for n in (4 * H, H, H)] if keep_trace else [None] * 3
     tr = _LstmTrace(*kept, h_out=h_out)
-    # sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh serves all four gates:
-    # halve the i, f, o pre-activations, then map each t to scale * t + shift.
-    # Halving is exact in floating point, so halving the weights once gives
-    # the same pre-activations as halving every step's sum.
-    scale = np.full(4 * H, 0.5)
-    scale[2 * H : 3 * H] = 1.0
+    # One tanh gives all four gates: map each t to scale * t + shift.
+    scale = _gate_scale(H)
     shift = 1.0 - scale
-    Ws, Us, bs = W * scale, U * scale, b * scale
+    Ws = W * scale if rows is None else None
+    Us, bs = U * scale, b * scale
     for t in range(T):
         m = eff[:, t : t + 1]
-        z = x[:, t] @ Ws
+        z = x[:, t] @ Ws if rows is None else rows[x[:, t]]
         z += h @ Us
         z += bs
         gates = tr.gates[:, t] if keep_trace else z
@@ -397,6 +450,12 @@ def forward(
     ``backward`` needs.  Train mode with ``dropout=0.0`` gives eval's
     probabilities bit for bit.
 
+    A batch of ``ids`` into a ``GateTable`` runs in eval mode only, since
+    ``backward`` reads the embeddings it does not gather.  Its LSTM steps
+    read each frame's input product from the table, where an embedding
+    batch multiplies the frame's embedding; the probabilities agree bit
+    for bit for B >= 2.
+
     Every kernel's pre-activations come from one GEMM over all windows of
     the batch, so padding frames appended to a batch change no output
     byte, except in the few-row batches where BLAS takes its small-matrix
@@ -407,20 +466,26 @@ def forward(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout}")
-    emb = batch.embeddings
-    B, T, E = emb.shape
-    if E != params.embed_dim:
-        raise ValueError(f"embeddings have dim {E}, network expects {params.embed_dim}")
+    table = batch.table
+    if table is not None and mode == "train":
+        raise ValueError("a gate-table batch runs in eval mode only; backward needs embeddings")
+    if table is not None and table.params is not params:
+        raise ValueError("gate table was built from different params")
+    # The (B, T, E) embeddings, or a table batch's (B, T) ids.
+    x = batch.embeddings if table is None else batch.ids
+    B, T = x.shape[:2]
+    if table is None and x.shape[2] != params.embed_dim:
+        raise ValueError(f"embeddings have dim {x.shape[2]}, network expects {params.embed_dim}")
     if batch.cluster_features.shape != (B, params.cluster_width):
         raise ValueError(
             f"cluster features shaped {batch.cluster_features.shape}, "
             f"expected {(B, params.cluster_width)}"
         )
     # Short sequences count as zero-padded up to the widest kernel:
-    # those extra steps are real (zero-vector) inputs, not masked out.
+    # those extra steps are real (zero-vector, id 0) inputs, not masked out.
     min_len = max(params.kernels)
     if T < min_len:
-        emb = np.concatenate([emb, np.zeros((B, min_len - T, E))], axis=1)
+        x = np.concatenate([x, np.zeros((B, min_len - T, *x.shape[2:]), x.dtype)], axis=1)
         T = min_len
     lengths = np.maximum(batch.lengths, min_len)
     eff = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
@@ -439,10 +504,13 @@ def forward(
     H = params.hidden
     h_cat = np.empty((B, T, 2 * H))
     fw, bw = (
-        _lstm_direction(x, e, *(params.arrays[f"lstm_{d}_{n}"] for n in "WUb"), traced, out)
+        _lstm_direction(
+            x, e, *(params.arrays[f"lstm_{d}_{n}"] for n in "WUb"), traced, out,
+            rows=None if table is None else getattr(table, d),
+        )
         for d, x, e, out in (
-            ("fw", emb, eff, h_cat[:, :, :H]),
-            ("bw", emb[:, ::-1], eff[:, ::-1], h_cat[:, ::-1, H:]),
+            ("fw", x, eff, h_cat[:, :, :H]),
+            ("bw", x[:, ::-1], eff[:, ::-1], h_cat[:, ::-1, H:]),
         )
     )
     if not traced:
@@ -479,7 +547,7 @@ def forward(
     logits = a @ params.arrays["out_W"] + params.arrays["out_b"]
     probs = _softmax(logits)
     cache = ForwardCache(
-        params=params, emb=emb, eff=eff, fw=fw, bw=bw, lstm_mask=lstm_mask,
+        params=params, emb=x, eff=eff, fw=fw, bw=bw, lstm_mask=lstm_mask,
         h_drop=h_drop, conv=conv, z=z, a_pre=a_pre, a=a, probs=probs,
     ) if traced else None
     return probs, cache

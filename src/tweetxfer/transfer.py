@@ -261,10 +261,14 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
         yield order[start : start + batch_size]
 
 
-def _batch_from(data: EncodedDataset, idx: np.ndarray, max_len: int) -> net.Batch:
+def _batch_from(
+    data: EncodedDataset, idx: np.ndarray, max_len: int, table: net.GateTable | None = None
+) -> net.Batch:
+    """The examples at ``idx``, gathered from ``data.matrix``, or as ids
+    into ``table`` when given."""
     return net.make_batch(
         [data.ids[i] for i in idx],
-        data.matrix,
+        data.matrix if table is None else table,
         data.cluster_features[idx],
         data.labels[idx],
         max_len=max_len,
@@ -324,31 +328,55 @@ def _run_epoch(
     return total / count
 
 
+# Eval batches are rounded up to a multiple of this many rows, the smallest
+# that keeps every paper-size product off BLAS's small-matrix rounding (see
+# ``predict_dataset``).
+_ROUND_ROWS = 16
+
+
 def predict_dataset(
-    params: net.NetworkParams, data: EncodedDataset, batch_size: int = 64, max_len: int = 100
+    params: net.NetworkParams, data: EncodedDataset, batch_size: int = 32, max_len: int = 100
 ) -> np.ndarray:
     """Eval-mode class predictions for every example, in input order.
 
     Batches are formed in stable order of sequence length, so each one is
-    padded only to its own longest member.  Predictions are scattered back
-    by index, so the result comes back in input order.  The default of 64
-    keeps memory small: a forward's largest buffer, the widest kernel's
-    windows, grows with the batch, while eval throughput is flat from 32
-    to 512.  At paper sizes with the coarse head and 51 cluster features
-    (one BLAS thread, OpenBLAS 0.3.31), how far a batch of 8 or more rows
-    is padded moves no probability, and batches of 16 or more agree with
-    one another; ``test_net.TestShapeInvariance`` checks both.  Smaller
-    batches can differ in the last bits, because OpenBLAS rounds a
-    product of at most 10^6 multiply-adds its own way: the dense layer's
-    for B <= 15, and a conv kernel's (B*P x k*2H x F) when a batch of
-    1-4 rows is only a few tokens wide, so padding such a batch can move
-    its probabilities too.
+    padded only to its own longest member, and predictions are scattered
+    back by index.  A batch short of a multiple of 16 rows repeats its
+    last row up to one and drops the extra outputs.
+
+    One call builds a ``net.GateTable`` of ``data.matrix``, 8H floats per
+    matrix row (24 MiB for 4,000 distinct tokens at H = 100), and every
+    LSTM step reads its input products from it in place of multiplying
+    each frame.  The default of 32 rows pays for most of the table: a
+    forward's largest buffer, the widest kernel's windows, grows with the
+    batch.
+
+    At one BLAS thread, a tweet's probabilities do not depend on the other
+    tweets in ``data``: ``test_transfer.TestDatasetInvariance`` checks
+    this at paper sizes with the coarse head and 51 cluster features
+    (OpenBLAS 0.3.31).  It holds because every product has the row count
+    of a full batch's.  OpenBLAS rounds a product of at most 10^6
+    multiply-adds its own way, as the dense layer's (B x 651 x 100) is for
+    B <= 15, and the head's (B x 100 x 2) rounds the rows past B's last
+    multiple of 4 its own way; batches whose size is a multiple of 4 and
+    at least 16 agree with one another, and padding a batch of 8 or more
+    rows moves no probability (``test_net.TestShapeInvariance``).
     """
-    preds = np.empty(len(data), dtype=np.int64)
+    return _probabilities(params, data, batch_size, max_len).argmax(axis=1)
+
+
+def _probabilities(
+    params: net.NetworkParams, data: EncodedDataset, batch_size: int, max_len: int
+) -> np.ndarray:
+    """``predict_dataset``'s eval probabilities, (examples, classes), in input order."""
+    table = net.gate_table(params, data.matrix)
+    probs = np.empty((len(data), params.n_classes))
     order = np.argsort([len(s) for s in data.ids], kind="stable")
     for idx in _batches(len(data), batch_size, order):
-        preds[idx] = net.predict(params, _batch_from(data, idx, max_len))
-    return preds
+        rows = np.pad(idx, (0, -len(idx) % _ROUND_ROWS), mode="edge")
+        batch = _batch_from(data, rows, max_len, table)
+        probs[idx] = net.forward(params, batch, mode="eval")[0][: len(idx)]
+    return probs
 
 
 def pretrain(

@@ -13,7 +13,7 @@ _SCRIPT = os.path.join(_ROOT, "bench", "layers.py")
 _TIMINGS = {
     *(f"forward.{mode}.b{B}.t6" for mode in ("train", "eval") for B in (4, 8)),
     *(f"backward.{mask}.b{B}.t6" for mask in ("g1234", "g1", "g2", "g3", "g4") for B in (4, 8)),
-    "forward.eval.b4.t5", "forward.eval.b4.t9", "step.nadam.g1234",
+    "forward.eval.b4.t5", "forward.eval.b4.t9", "predict_dataset.n16", "step.nadam.g1234",
 }
 
 

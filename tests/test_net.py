@@ -517,16 +517,16 @@ _PINNED = {
 }
 
 
-def _in_one_thread(name):
-    """``test_net.<name>()``'s JSON result from a fresh interpreter with one
+def _in_one_thread(name, module="test_net"):
+    """``<module>.<name>()``'s JSON result from a fresh interpreter with one
     BLAS thread: at paper sizes OpenBLAS rounds differently with more threads."""
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(net.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
-        "import json, sys\nsys.path.insert(0, sys.argv[1])\nimport test_net\n"
-        f"print(json.dumps(test_net.{name}()))\n"
+        f"import json, sys\nsys.path.insert(0, sys.argv[1])\nimport {module}\n"
+        f"print(json.dumps({module}.{name}()))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, tests], env=env, capture_output=True, text=True,

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from test_net import _in_one_thread
 
 from tweetxfer import lda, net, textprep, transfer
 from tweetxfer.corpus import RawTweet
@@ -741,3 +742,98 @@ def _length_sorted_probs(params, data, batch_size, max_len=20):
         idx = order[start : start + batch_size]
         probs[idx] = net.forward(params, transfer._batch_from(data, idx, max_len), mode="eval")[0]
     return probs
+
+
+def _encode_words(tweets, vectors, feats):
+    """A dataset of word-index tweets, its ids numbering their distinct
+    words from 1 in first-seen order, as ``encode_labeled`` numbers tokens."""
+    index = {}
+    ids = tuple(
+        np.array([index.setdefault(w, len(index) + 1) for w in t], dtype=np.intp) for t in tweets
+    )
+    matrix = np.zeros((len(index) + 1, vectors.shape[1]))
+    matrix[1:] = vectors[list(index)]
+    return transfer.EncodedDataset(ids, matrix, feats, np.zeros(len(tweets), dtype=np.int64))
+
+
+def _raw_probs(params, data, batch_size, max_len):
+    """``transfer._probabilities``' batches and row repeats, but each batch
+    gathers its embeddings and multiplies every frame."""
+    order = np.argsort([len(s) for s in data.ids], kind="stable")
+    probs = np.empty((len(data), params.n_classes))
+    for start in range(0, len(data), batch_size):
+        idx = order[start : start + batch_size]
+        rows = np.pad(idx, (0, -len(idx) % 16), mode="edge")
+        batch = transfer._batch_from(data, rows, max_len)
+        probs[idx] = net.forward(params, batch, mode="eval")[0][: len(idx)]
+    return probs
+
+
+def _dataset_invariance():
+    """Rows whose ``predict_dataset`` probabilities differ, at the paper's
+    sizes with the coarse head and 51 cluster features.
+
+    ``subset``: 150 tweets of 1-45 words, one cut by ``max_len`` = 40, are
+    scored together, then in random subsets of each size, each subset
+    encoded on its own as a smaller dataset would be.  ``raw``: the full
+    set, and a set of one word whose matrix has two rows, scored through
+    the gate table against embedding batches.
+    """
+    params = net.init_params(2, 51, seed=3)
+    rng = np.random.default_rng(12)
+    vectors = rng.normal(0.0, 0.3, (500, 300))
+    n, max_len = 150, 40
+    tweets = [rng.integers(0, 500, int(k)) for k in rng.integers(1, 46, n - 1)] + [
+        rng.integers(0, 500, 50)
+    ]
+    feats = (rng.random((n, 51)) < 0.3).astype(np.float64)
+    data = _encode_words(tweets, vectors, feats)
+    whole = transfer._probabilities(params, data, 32, max_len)
+    subset = {}
+    for size in (1, 5, 17, 51, 63):
+        pick = rng.choice(n, size, replace=False)
+        part = _encode_words([tweets[i] for i in pick], vectors, feats[pick])
+        got = transfer._probabilities(params, part, 32, max_len)
+        subset[str(size)] = int((got != whole[pick]).any(axis=1).sum())
+    one_word = _encode_words([[7] * int(k) for k in range(1, 21)], vectors, feats[:20])
+    raw = {}
+    for name, d in (("whole", data), ("two_row_matrix", one_word)):
+        got = transfer._probabilities(params, d, 32, max_len)
+        raw[name] = int((got != _raw_probs(params, d, 32, max_len)).any(axis=1).sum())
+    return {"subset": subset, "raw": raw, "matrix_rows": one_word.matrix.shape[0]}
+
+
+class TestDatasetInvariance:
+    """At one BLAS thread and paper sizes, a tweet's probabilities do not
+    depend on the other tweets scored with it, and the gate table gives
+    the embedding batches' probabilities byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def changed(self):
+        return _in_one_thread("_dataset_invariance", module="test_transfer")
+
+    def test_subsets_score_as_the_whole_set(self, changed):
+        assert changed["subset"] == {"1": 0, "5": 0, "17": 0, "51": 0, "63": 0}
+
+    def test_gate_table_matches_embedding_batches(self, changed):
+        assert changed["matrix_rows"] == 2
+        assert changed["raw"] == {"whole": 0, "two_row_matrix": 0}
+
+
+class TestGateTableBatch:
+    def test_eval_only(self):
+        params = _tiny_params(2, 0, 1)
+        data = encode_labeled(separable_labeled(6, seed=2), "coarse", _table())
+        table = net.gate_table(params, data.matrix)
+        batch = transfer._batch_from(data, np.arange(len(data)), 100, table)
+        assert batch.embeddings is None and batch.ids.shape[0] == len(data)
+        net.forward(params, batch, mode="eval")
+        with pytest.raises(ValueError, match="eval mode only"):
+            net.forward(params, batch, mode="train")
+
+    def test_refuses_a_table_of_other_params(self):
+        data = encode_labeled(separable_labeled(6, seed=2), "coarse", _table())
+        table = net.gate_table(_tiny_params(2, 0, 1), data.matrix)
+        batch = transfer._batch_from(data, np.arange(len(data)), 100, table)
+        with pytest.raises(ValueError, match="different params"):
+            net.forward(_tiny_params(2, 0, 1), batch, mode="eval")

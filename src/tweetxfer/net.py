@@ -459,8 +459,9 @@ def forward(
     Every kernel's pre-activations come from one GEMM over all windows of
     the batch, so padding frames appended to a batch change no output
     byte, except in the few-row batches where BLAS takes its small-matrix
-    path.  Batch size moves only the last bits of small batches, for the
-    same reason (see ``transfer.predict_dataset``).
+    path.  For the same reason, batch size moves only the last bits, and
+    at paper sizes only of batches under 16 rows or of a size that 4 does
+    not divide (see ``transfer.predict_dataset``).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -505,10 +506,10 @@ def forward(
     h_cat = np.empty((B, T, 2 * H))
     fw, bw = (
         _lstm_direction(
-            x, e, *(params.arrays[f"lstm_{d}_{n}"] for n in "WUb"), traced, out,
+            xd, e, *(params.arrays[f"lstm_{d}_{n}"] for n in "WUb"), traced, out,
             rows=None if table is None else getattr(table, d),
         )
-        for d, x, e, out in (
+        for d, xd, e, out in (
             ("fw", x, eff, h_cat[:, :, :H]),
             ("bw", x[:, ::-1], eff[:, ::-1], h_cat[:, ::-1, H:]),
         )

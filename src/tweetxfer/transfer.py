@@ -335,7 +335,7 @@ _ROUND_ROWS = 16
 
 
 def predict_dataset(
-    params: net.NetworkParams, data: EncodedDataset, batch_size: int = 32, max_len: int = 100
+    params: net.NetworkParams, data: EncodedDataset, batch_size: int = 16, max_len: int = 100
 ) -> np.ndarray:
     """Eval-mode class predictions for every example, in input order.
 
@@ -347,20 +347,20 @@ def predict_dataset(
     One call builds a ``net.GateTable`` of ``data.matrix``, 8H floats per
     matrix row (24 MiB for 4,000 distinct tokens at H = 100), and every
     LSTM step reads its input products from it in place of multiplying
-    each frame.  The default of 32 rows pays for most of the table: a
-    forward's largest buffer, the widest kernel's windows, grows with the
-    batch.
+    each frame.  The default of 16 rows pays for the table: a forward's
+    largest buffer, the widest kernel's windows, grows with the batch,
+    while eval throughput at paper sizes is flat from 16 to 64 rows.
 
     At one BLAS thread, a tweet's probabilities do not depend on the other
     tweets in ``data``: ``test_transfer.TestDatasetInvariance`` checks
     this at paper sizes with the coarse head and 51 cluster features
-    (OpenBLAS 0.3.31).  It holds because every product has the row count
-    of a full batch's.  OpenBLAS rounds a product of at most 10^6
-    multiply-adds its own way, as the dense layer's (B x 651 x 100) is for
-    B <= 15, and the head's (B x 100 x 2) rounds the rows past B's last
-    multiple of 4 its own way; batches whose size is a multiple of 4 and
-    at least 16 agree with one another, and padding a batch of 8 or more
-    rows moves no probability (``test_net.TestShapeInvariance``).
+    (OpenBLAS 0.3.31).  It holds because every batch has a multiple of 16
+    rows.  OpenBLAS rounds a product of at most 10^6 multiply-adds its own
+    way, as the dense layer's (B x 651 x 100) is for B <= 15, and the
+    head's (B x 100 x 2) rounds the rows past B's last multiple of 4 its
+    own way; batches whose size is a multiple of 4 and at least 16 agree
+    with one another, and padding a batch of 8 or more rows moves no
+    probability (``test_net.TestShapeInvariance``).
     """
     return _probabilities(params, data, batch_size, max_len).argmax(axis=1)
 

@@ -201,10 +201,11 @@ class GateTable:
     """Each embedding-matrix row's LSTM input product, per direction.
 
     Row r of ``fw`` is ``matrix[r] @ lstm_fw_W`` with the i, f, o columns
-    halved (``_gate_scale``), bit for bit what an eval step computes for
-    a frame holding token r; likewise ``bw``.  It holds 8H floats per
-    matrix row and is valid only while ``params``' LSTM weights stay as
-    they were when ``gate_table`` built it.
+    halved (``_gate_scale``): bit for bit what a step of a batch of two or
+    more rows computes for a frame holding token r, when the matrix has
+    two or more rows; likewise ``bw``.  It holds 8H floats per matrix row
+    and is valid only while ``params``' LSTM weights stay as they were
+    when ``gate_table`` built it.
     """
 
     params: NetworkParams
@@ -214,9 +215,10 @@ class GateTable:
 
 def gate_table(params: NetworkParams, matrix: np.ndarray) -> GateTable:
     """Multiply every row of ``matrix`` through both LSTM directions' input
-    weights at once.  A product's rows do not depend on how many rows it
-    has once it has two, so a table of at least two rows gives each step
-    the bytes of its own (B, E) @ (E, 4H) product for B >= 2."""
+    weights at once.  With OpenBLAS 0.3.31 a product's rows do not depend
+    on how many rows it has once it has two (seen for 2 to 129 rows and at
+    255, 256 and 1001; numpy sends a one-row product to gemv), so the
+    table's rows are the bytes of each step's own (B, E) @ (E, 4H)."""
     scale = _gate_scale(params.hidden)
     fw, bw = (matrix @ (params.arrays[f"lstm_{d}_W"] * scale) for d in ("fw", "bw"))
     return GateTable(params=params, fw=fw, bw=bw)

@@ -328,9 +328,9 @@ def _run_epoch(
     return total / count
 
 
-# Eval batches are rounded up to a multiple of this many rows, the smallest
-# that keeps every paper-size product off BLAS's small-matrix rounding (see
-# ``predict_dataset``).
+# Eval batches are rounded up to a multiple of this many rows: the smallest
+# multiple of 4 whose paper-size dense product (16 x 651 x 100) is past
+# OpenBLAS's small-matrix rounding (see ``predict_dataset``).
 _ROUND_ROWS = 16
 
 

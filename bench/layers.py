@@ -1,4 +1,4 @@
-"""Layer bench: network, predict_dataset and embedding times of tweetxfer.
+"""Layer bench: network, predict_dataset, embedding and LDA times of tweetxfer.
 
 Times each network layer call, and ``transfer.predict_dataset`` over a
 fixed dataset of 256 tweets, in-process at the paper's sizes (E=300,
@@ -8,6 +8,10 @@ It also times ``embed.load_vectors`` on a 1,266 x 300 vectors file and
 of 800 tweets of 20-40 tokens, 70 % of whose vocabulary is not in the
 file, as in the perfbench classify workload; the ``embed`` section
 records lines/s, tokens/s and the OOV share of those two rows.  It
+times ``lda.train_gibbs`` at k = 20 on a 300-document topic corpus and
+at k = 50 on mention lists, and ``lda.infer_topics`` fold-in of 300
+new documents, on the perfbench topics inputs of seed 1; the ``lda``
+section records the token-samples/s of each.  It
 writes one JSON run, keyed by ``--label``, into ``--out``; runs under
 other labels already in that file are kept, so one file can hold the
 parent commit's run beside a change's.  Each timing is the minimum and
@@ -30,6 +34,7 @@ that the script works.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -53,6 +58,9 @@ PAPER = dict(
     # The perfbench classify inputs of seed 1: a vectors file of the 1,266
     # words drawn from 2 x 2,000 planted words, and 800 tweets over all 4,000.
     embed=dict(tweets=800, tokens=(20, 40), words_per_topic=2000, known_share=0.3, dim=300),
+    # The perfbench topics inputs of seed 1 and its sampler settings.
+    lda=dict(docs=300, planted=5, k=20, iterations=40, cliques=5, users_per_clique=12,
+             mention_tweets=800, k_users=50, foldin_docs=300, infer_iterations=30, seed=1),
     gemm=512, loop=1_000_000, repeats=7,
 )
 TINY = dict(
@@ -62,6 +70,8 @@ TINY = dict(
     eval_shapes=((4, 5), (4, 9)),
     predict=dict(tweets=16, tokens=(3, 6), vocab=20),
     embed=dict(tweets=40, tokens=(3, 6), words_per_topic=30, known_share=0.3, dim=12),
+    lda=dict(docs=20, planted=2, k=20, iterations=2, cliques=2, users_per_clique=4,
+             mention_tweets=30, k_users=50, foldin_docs=10, infer_iterations=4, seed=1),
     gemm=64, loop=10_000, repeats=2,
 )
 
@@ -108,6 +118,7 @@ def _environment(np) -> dict:
     return {
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_core": _blas_core(np),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cpu": cpu,
@@ -116,6 +127,20 @@ def _environment(np) -> dict:
             len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         ),
     }
+
+
+def _blas_core(np) -> str | None:
+    """The kernel name (such as ``SkylakeX`` or ``Haswell``) that numpy's
+    bundled OpenBLAS chose for this CPU, or None without that library.
+    Byte-for-byte results hold per kernel, not per OpenBLAS version."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs) if n.startswith("libscipy_openblas"))
+        corename = ctypes.CDLL(os.path.join(libs, names[0])).scipy_openblas_get_corename64_
+    except (OSError, IndexError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode("ascii")
 
 
 def _calibration(np, sizes: dict) -> dict:
@@ -186,6 +211,55 @@ def _embed_rows(np, embed, fixtures, sizes: dict, workdir: str) -> tuple[dict, d
     return timings, work
 
 
+def _lda_rows(corpus, fixtures, lda, sizes: dict) -> tuple[dict, dict]:
+    """Timings of ``train_gibbs`` at k = 20 (topic corpus) and k = 50
+    (mention lists, as ``cluster_users`` runs it) and of a fold-in loop of
+    ``infer_topics``, and the token-samples behind each."""
+    spec, repeats = sizes["lda"], sizes["repeats"]
+    seed = spec["seed"]
+    docs, _ = fixtures.planted_topic_docs(
+        spec["docs"], n_topics=spec["planted"], purity=0.9, seed=seed
+    )
+    fold, _ = fixtures.planted_topic_docs(
+        spec["foldin_docs"], n_topics=spec["planted"], purity=0.9, seed=seed + 1
+    )
+    tweets, _ = fixtures.clique_mentions(
+        n_cliques=spec["cliques"], users_per_clique=spec["users_per_clique"],
+        n_tweets=spec["mention_tweets"], seed=seed,
+    )
+    lists = corpus.extract_mention_lists(tweets, min_mentions=2, min_user_freq=1)
+    model = lda.train_gibbs(docs, k=spec["k"], iterations=spec["iterations"], seed=seed)
+    infer_its = spec["infer_iterations"]
+
+    def foldin():
+        for doc in fold:
+            lda.infer_topics(model, doc, iterations=infer_its, seed=seed)
+
+    rows = {
+        f"train_gibbs.k{spec['k']}": (
+            lambda: lda.train_gibbs(docs, k=spec["k"], iterations=spec["iterations"], seed=seed),
+            sum(map(len, docs)) * spec["iterations"],
+        ),
+        f"train_gibbs.k{spec['k_users']}": (
+            lambda: lda.train_gibbs(
+                lists, k=spec["k_users"], iterations=spec["iterations"], seed=seed
+            ),
+            sum(map(len, lists)) * spec["iterations"],
+        ),
+        f"infer_topics.k{spec['k']}": (
+            foldin,
+            sum(tok in model.vocab for doc in fold for tok in doc) * infer_its,
+        ),
+    }
+    timings = {key: _stats(run, repeats) for key, (run, _) in rows.items()}
+    work = {
+        key: {"token_samples": samples,
+              "token_samples_per_s": 1e3 * samples / timings[key]["min_ms"]}
+        for key, (_, samples) in rows.items()
+    }
+    return timings, work
+
+
 def _timings(np, net, transfer, fixtures, sizes: dict) -> dict:
     arch, repeats = sizes["net"], sizes["repeats"]
     params = net.init_params(sizes["n_classes"], sizes["cluster_width"], seed=1, **arch)
@@ -246,18 +320,20 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
 
-    from tweetxfer import embed, fixtures, net, transfer
+    from tweetxfer import corpus, embed, fixtures, lda, net, transfer
 
     sizes = TINY if args.tiny else PAPER
     timings = _timings(np, net, transfer, fixtures, sizes)
     with tempfile.TemporaryDirectory() as workdir:
         embed_timings, embed_work = _embed_rows(np, embed, fixtures, sizes, workdir)
+    lda_timings, lda_work = _lda_rows(corpus, fixtures, lda, sizes)
     run = {
         "environment": _environment(np),
         "sizes": sizes,
         "calibration": _calibration(np, sizes),
-        "timings": {**timings, **embed_timings},
+        "timings": {**timings, **embed_timings, **lda_timings},
         "embed": embed_work,
+        "lda": lda_work,
     }
     doc["runs"][args.label] = run
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -265,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for name, stat in {**run["calibration"], **run["timings"]}.items():
         print(f"{name:32s} min {stat['min_ms']:9.2f} ms  median {stat['median_ms']:9.2f} ms")
-    for name, work in embed_work.items():
+    for name, work in {**embed_work, **lda_work}.items():
         print(f"{name:32s} " + "  ".join(f"{k} {v:.6g}" for k, v in sorted(work.items())))
     return 0
 

@@ -9,9 +9,13 @@ a token excludes its own current assignment (Griffiths & Steyvers 2004).
 Training and fold-in share one sweep kernel, ``_sweep``, over plain
 lists: training lets it update the global counts, fold-in holds them
 frozen.  It draws the same samples, bit for bit, as a per-token numpy
-sampler with ``np.cumsum`` and ``np.searchsorted``.  At k = 20 and 50
-it measured about 4x and 2x faster than that sampler; its cost grows
-with k, so the two break even near k = 100 and the lists lose beyond.
+sampler with ``np.cumsum`` and ``np.searchsorted``.  A topic that holds
+neither the token's document nor its word weighs ``(alpha * beta) /
+(n_t + V * beta)``, the smoothing-only term of SparseLDA (Yao, Mimno &
+McCallum 2009), and computing it so is the same IEEE operations as the
+full conditional.  So each token copies one list of those weights and
+recomputes only the topics its document or word holds, and its Python
+work grows with those topics rather than with k.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul, truediv
 
 import numpy as np
 
@@ -57,8 +60,10 @@ def _sweep(
     n_dt: list[list[int]],
     n_wt: list[list[int]] | None,
     b_wt: list[list[float]],
+    held: list,
     n_t: list[int] | None,
     c_t: list[float],
+    s_t: list[float],
     alpha: float,
     beta: float,
     v_beta: float,
@@ -68,54 +73,72 @@ def _sweep(
 
     ``docs[d]`` holds word ids, ``zs[d]`` their topics and ``n_dt[d]``
     the document's k topic counts.  ``n_wt[w]`` is word ``w``'s k topic
-    counts and ``b_wt[w]`` the floats ``n_wt[w][t] + beta``; ``n_t`` is
-    the topic totals and ``c_t`` the floats ``n_t[t] + v_beta``.  With
-    ``n_wt`` and ``n_t`` None the global counts are frozen (fold-in) and
-    ``b_wt`` and ``c_t`` are only read.  ``draws`` holds one uniform per
-    token, in document order.
+    counts, ``b_wt[w]`` the floats ``n_wt[w][t] + beta`` and ``held[w]``
+    the topics ``t`` with ``n_wt[w][t] > 0``; ``n_t`` is the topic
+    totals, ``c_t`` the floats ``n_t[t] + v_beta`` and ``s_t`` the
+    smoothing-only weights ``(alpha * beta) / c_t[t]``.  With ``n_wt``
+    and ``n_t`` None the global counts are frozen (fold-in) and
+    ``b_wt``, ``held``, ``c_t`` and ``s_t`` are only read.  ``draws``
+    holds one uniform per token, in document order.
 
-    The weights, the cumulative sum and the search are the same IEEE
-    operations, in the same order, as ``(n_dt + alpha) * (n_wt + beta) /
-    (n_t + v_beta)``, ``np.cumsum`` and ``np.searchsorted(side="right")``
-    on arrays, so samples match an array sampler bit for bit.  Every
-    cached float is recomputed from its integer count, never stepped by
-    +-1.0.  Plain lists beat numpy calls below k of about 100: per
-    token, numpy's fixed call cost outweighs k multiply-adds.
+    A token's weights are ``(n_dt + alpha) * (n_wt + beta) / (n_t +
+    v_beta)``, summed with ``accumulate`` and searched with
+    ``bisect_right``: the same IEEE operations, in the same order, as
+    ``np.cumsum`` and ``np.searchsorted(side="right")`` on arrays, so
+    samples match an array sampler bit for bit.  Where a topic holds
+    neither the document nor the word, both counts are 0, and ``(0 +
+    alpha) * (0 + beta) / c`` is ``(alpha * beta) / c`` as the same
+    operations.  So each token starts from a copy of ``s_t`` and
+    recomputes only the topics its document lives in or its word is
+    held by (Yao, Mimno & McCallum 2009); a topic in both is computed
+    twice, to the same value.  Its Python work grows with those topics,
+    not with k.  Every cached float is recomputed from its integer
+    count, never stepped by +-1.0.
     """
     top = len(c_t) - 1
+    ab = alpha * beta
     draw = iter(draws).__next__
     frozen = n_wt is None
     for words, z_doc, nd in zip(docs, zs, n_dt):
-        a = [c + alpha for c in nd]
+        # Every topic with nd[t] > 0; it may also keep topics that emptied.
+        live = set(z_doc)
         for j, w in enumerate(words):
             z = z_doc[j]
             b = b_wt[w]
-            c = nd[z] - 1
-            nd[z] = c
-            a[z] = c + alpha
+            nd[z] -= 1
             if not frozen:
                 row = n_wt[w]
                 c = row[z] - 1
                 row[z] = c
                 b[z] = c + beta
+                if not c:
+                    held[w].discard(z)
                 c = n_t[z] - 1
                 n_t[z] = c
-                c_t[z] = c + v_beta
-            cum = list(accumulate(map(truediv, map(mul, a, b), c_t)))
+                c_t[z] = c = c + v_beta
+                s_t[z] = ab / c
+            wt = s_t[:]
+            for t in live:
+                wt[t] = (nd[t] + alpha) * b[t] / c_t[t]
+            for t in held[w]:
+                wt[t] = (nd[t] + alpha) * b[t] / c_t[t]
+            cum = list(accumulate(wt))
             z = bisect_right(cum, draw() * cum[-1])
             if z > top:
                 z = top
             z_doc[j] = z
-            c = nd[z] + 1
-            nd[z] = c
-            a[z] = c + alpha
+            nd[z] += 1
+            live.add(z)
             if not frozen:
                 c = row[z] + 1
                 row[z] = c
                 b[z] = c + beta
+                if c == 1:
+                    held[w].add(z)
                 c = n_t[z] + 1
                 n_t[z] = c
-                c_t[z] = c + v_beta
+                c_t[z] = c = c + v_beta
+                s_t[z] = ab / c
 
 
 def train_gibbs(
@@ -169,10 +192,12 @@ def train_gibbs(
 
     v_beta = n_words * beta
     b_wt = [[c + beta for c in row] for row in n_wt]
+    held = [{t for t, c in enumerate(row) if c} for row in n_wt]
     c_t = [c + v_beta for c in n_t]
+    s_t = [alpha * beta / c for c in c_t]
     for _ in range(iterations):
         draws = rng.random(n_tokens).tolist()
-        _sweep(docs_idx, zs, n_dt, n_wt, b_wt, n_t, c_t, alpha, beta, v_beta, draws)
+        _sweep(docs_idx, zs, n_dt, n_wt, b_wt, held, n_t, c_t, s_t, alpha, beta, v_beta, draws)
 
     n_tw = np.ascontiguousarray(np.array(n_wt, dtype=np.int64).T)
     return LdaModel(
@@ -209,16 +234,22 @@ def infer_topics(
     n_loc = [0] * k
     for z in zs:
         n_loc[z] += 1
-    # One frozen beta-row per token position, so position j reads row j.
-    b_rows = (model.n_tw[:, words] + model.beta).T.tolist()
+    # One frozen row per token position, so position j reads row j.
+    counts = model.n_tw[:, words].T
+    b_rows = (counts + model.beta).tolist()
+    held = [np.flatnonzero(row).tolist() for row in counts]
     c_t = (model.n_t + v_beta).tolist()
+    s_t = [model.alpha * model.beta / c for c in c_t]
     positions = [range(n)]
 
     total = np.zeros(k)
     kept = 0
     for sweep in range(iterations):
         draws = rng.random(n).tolist()
-        _sweep(positions, [zs], [n_loc], None, b_rows, None, c_t, model.alpha, model.beta, v_beta, draws)
+        _sweep(
+            positions, [zs], [n_loc], None, b_rows, held, None, c_t, s_t,
+            model.alpha, model.beta, v_beta, draws,
+        )
         if sweep >= burn_in:
             total += (np.array(n_loc) + model.alpha) / (n + k * model.alpha)
             kept += 1
@@ -348,6 +379,8 @@ def load_model(path: str) -> LdaModel:
     words = require(payload, "vocab", (list,), path, items=(str,))
     vocab = {tok: i for i, tok in enumerate(words)}
     k = require(payload, "k", (int,), path)
+    if k < 2:
+        raise DataError(f"{path}: k must be at least 2, got {k}")
     n_tw = _count_array(payload, "n_tw", path)
     n_t = _count_array(payload, "n_t", path)
     if n_tw.shape != (k, len(vocab)) or n_t.shape != (k,):

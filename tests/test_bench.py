@@ -15,6 +15,7 @@ _TIMINGS = {
     *(f"backward.{mask}.b{B}.t6" for mask in ("g1234", "g1", "g2", "g3", "g4") for B in (4, 8)),
     "forward.eval.b4.t5", "forward.eval.b4.t9", "predict_dataset.n16", "step.nadam.g1234",
     "load_vectors.l20", "embed_tokens.cold.t56",
+    "train_gibbs.k20", "train_gibbs.k50", "infer_topics.k20",
 }
 
 
@@ -49,11 +50,14 @@ def test_file_keeps_every_labelled_run(doc):
 @pytest.mark.parametrize("label", ["before", "after"])
 def test_run_schema(doc, label):
     run = doc["runs"][label]
-    assert set(run) == {"environment", "sizes", "calibration", "timings", "embed"}
+    assert set(run) == {"environment", "sizes", "calibration", "timings", "embed", "lda"}
     env = run["environment"]
-    assert set(env) == {"blas_threads", "blas", "numpy", "python", "cpu", "cpu_count"}
+    assert set(env) == {
+        "blas_threads", "blas", "blas_core", "numpy", "python", "cpu", "cpu_count",
+    }
     assert env["blas_threads"] == 1
     assert set(env["blas"]) == {"name", "version"}
+    assert env["blas_core"] is None or (isinstance(env["blas_core"], str) and env["blas_core"])
     assert isinstance(env["numpy"], str) and isinstance(env["python"], str)
     assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
     assert run["sizes"]["repeats"] == 2
@@ -66,6 +70,10 @@ def test_run_schema(doc, label):
     assert (loaded["lines"], loaded["dim"]) == (20, 12)
     assert embedded["tokens"] == 56 and 0.5 < embedded["oov_share"] < 0.9
     assert loaded["lines_per_s"] > 0 and embedded["tokens_per_s"] > 0
+    assert set(run["lda"]) == {"train_gibbs.k20", "train_gibbs.k50", "infer_topics.k20"}
+    for work in run["lda"].values():
+        assert set(work) == {"token_samples", "token_samples_per_s"}
+        assert work["token_samples"] > 0 and work["token_samples_per_s"] > 0
 
 
 def test_refuses_a_file_of_another_schema(tmp_path):

@@ -41,15 +41,17 @@ def checked_sweeps(monkeypatch):
     Wraps ``lda._sweep``; after each call whose global counts are
     writable (training, not fold-in) it asserts that no count is
     negative, that the word-topic columns sum to the topic totals, that
-    each document's topic counts sum to its length, and that the cached
-    floats equal their counts plus ``beta`` and ``v_beta`` exactly.
+    each document's topic counts sum to its length, that the cached
+    floats equal their counts plus ``beta`` and ``v_beta`` exactly, that
+    the smoothing-only weights equal ``(alpha * beta) / c_t`` exactly and
+    that each word's held topics are exactly its nonzero counts.
     Yields the list of checked calls.
     """
     sweep = lda._sweep
     checked = []
 
-    def wrapper(docs, zs, n_dt, n_wt, b_wt, n_t, c_t, alpha, beta, v_beta, draws):
-        sweep(docs, zs, n_dt, n_wt, b_wt, n_t, c_t, alpha, beta, v_beta, draws)
+    def wrapper(docs, zs, n_dt, n_wt, b_wt, held, n_t, c_t, s_t, alpha, beta, v_beta, draws):
+        sweep(docs, zs, n_dt, n_wt, b_wt, held, n_t, c_t, s_t, alpha, beta, v_beta, draws)
         if n_wt is None:
             return
         nd, nw, nt = np.array(n_dt), np.array(n_wt), np.array(n_t)
@@ -58,6 +60,8 @@ def checked_sweeps(monkeypatch):
         assert (nd.sum(axis=1) == [len(doc) for doc in docs]).all(), "doc totals out of sync"
         assert (np.array(b_wt) == nw + beta).all(), "stale word-topic floats"
         assert (np.array(c_t) == nt + v_beta).all(), "stale topic-total floats"
+        assert s_t == [(alpha * beta) / c for c in c_t], "stale smoothing-only weights"
+        assert held == [{t for t, c in enumerate(row) if c > 0} for row in n_wt], "stale held topics"
         checked.append(len(draws))
 
     monkeypatch.setattr(lda, "_sweep", wrapper)
@@ -368,6 +372,20 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"m.json: .*{needle}"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_topics_rejected(self, tmp_path, k):
+        """``train_gibbs`` refuses k < 2, so no such model file is valid,
+        even one whose counts agree with its k."""
+        import json
+
+        path = tmp_path / "m.json"
+        save_model(self._model(), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload.update(k=k, n_tw=payload["n_tw"][:max(k, 0)], n_t=payload["n_t"][:max(k, 0)])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=f"m.json: k must be at least 2, got {k}"):
+            load_model(str(path))
+
     def test_clusters_round_trip(self, tmp_path):
         clusters = UserClusters(k=4, cluster_of={"uB": 3, "uA": 0, "uC": 2})
         path = tmp_path / "c.tsv"
@@ -521,7 +539,9 @@ class TestSamplePath:
         expected = ["0x1.7b425ed097b42p-3", "0x1.2e759203cae76p-1", "0x1.cae759203cae8p-3"]
         assert [float(x).hex() for x in dist] == expected
 
-    @pytest.mark.parametrize("k,alpha,seed", [(2, None, 0), (7, 0.3, 5), (50, None, 11)])
+    @pytest.mark.parametrize(
+        "k,alpha,seed", [(2, None, 0), (7, 0.3, 5), (50, None, 11), (200, None, 13)]
+    )
     def test_matches_numpy_reference(self, k, alpha, seed):
         docs, _ = planted_topic_docs(25, seed=seed + 20)
         model = train_gibbs(docs, k=k, alpha=alpha, beta=0.05, iterations=6, seed=seed)
@@ -534,6 +554,17 @@ class TestSamplePath:
             assert infer_topics(model, doc + ["unseen"], iterations=9, seed=seed).tobytes() == (
                 expected.tobytes()
             )
+
+    @pytest.mark.parametrize("k,seed", [(2, 0), (50, 11), (200, 13)])
+    def test_one_known_word_matches_numpy_reference(self, k, seed):
+        """Fold-in where every word but one is unseen: the document's
+        topics and the word's few held topics are all that move."""
+        docs, _ = planted_topic_docs(25, seed=seed + 20)
+        model = train_gibbs(docs, k=k, beta=0.05, iterations=6, seed=seed)
+        for word in list(model.vocab)[:3]:
+            doc = ["nie", "gesehen", word, "unseen", "quux"]
+            expected = _reference_infer(model, doc, 9, seed)
+            assert infer_topics(model, doc, iterations=9, seed=seed).tobytes() == expected.tobytes()
 
     def test_optimized_python_samples_the_same(self):
         """``python -O`` strips asserts; the counts it samples are the same."""

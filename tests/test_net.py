@@ -565,7 +565,7 @@ def _shape_invariance():
     rows (the narrowest conv products a batch of 8 can have), each at its
     own width, then padded to 20 and to 40 frames.  ``batch_size``: 256 rows
     of 3-20 tokens, all padded to 20 frames, run in batches of 16 and 64
-    against one of 256.
+    against one of 256, and in batches of 20 and 48, whose last batch is 16.
     """
     params = init_params(2, 51, seed=3)
     rng = np.random.default_rng(11)
@@ -595,7 +595,7 @@ def _shape_invariance():
             np.concatenate([probs(seqs[i : i + B], feats[i : i + B], 20) for i in range(0, 256, B)]),
             whole,
         )
-        for B in (16, 64)
+        for B in (16, 20, 48, 64)
     }
     return {"padding": padding, "batch_size": batch_size}
 
@@ -603,8 +603,8 @@ def _shape_invariance():
 class TestShapeInvariance:
     """The determinism promise of ``transfer.predict_dataset``, at one BLAS
     thread: in batches of 8 or more, padding never moves an eval
-    probability, and batches of 16, 64 and 256 agree bit for bit at equal
-    padding.  Smaller batches may not: OpenBLAS 0.3.31 rounds a product of
+    probability, and batches of 16, 20, 48, 64 and 256 agree bit for bit at
+    equal padding.  Smaller batches may not: OpenBLAS 0.3.31 rounds a product of
     at most 10^6 multiply-adds its own way, which the dense layer's
     (B x 651 x 100) is for B <= 15, and the widest kernel's
     (B*P x 1000 x 200) is for B*P <= 5.  So padding a batch of one row
@@ -618,7 +618,7 @@ class TestShapeInvariance:
         assert changed["padding"] == {f"b{B}.t{f}": 0 for B in (64, 8) for f in (20, 40)}
 
     def test_batch_sizes_agree_at_equal_padding(self, changed):
-        assert changed["batch_size"] == {"16": 0, "64": 0}
+        assert changed["batch_size"] == {"16": 0, "20": 0, "48": 0, "64": 0}
 
 
 def _nadam_scalar_reference(x0, grads, lr, beta1=0.99, beta2=0.999, eps=1e-8, psi=0.004):

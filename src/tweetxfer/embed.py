@@ -202,21 +202,18 @@ class EmbeddingTable:
             vec = self._oov_cache[token]
         return vec
 
-    def embed_tokens(
-        self, tokens: tuple[str, ...] | list[str], out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Stack of per-token vectors, shape (len(tokens), dim), written
-        into ``out`` when it is given.
+    def embed_tokens(self, tokens: tuple[str, ...] | list[str]) -> np.ndarray:
+        """Stack of per-token vectors, shape (len(tokens), dim).
 
         The buckets of every new unknown token are drawn in one batch.
         """
         if not tokens:
-            return np.zeros((0, self.dim)) if out is None else out
+            return np.zeros((0, self.dim))
         self._embed_new([
             tok for tok in dict.fromkeys(tokens)
             if tok not in self.word_vectors and tok not in self._oov_cache
         ])
-        return np.stack([self.embed_token(tok) for tok in tokens], out=out)
+        return np.stack([self.embed_token(tok) for tok in tokens])
 
     def _embed_new(self, tokens: list[str]) -> None:
         """Cache the n-gram mean of each of ``tokens``: distinct, unknown

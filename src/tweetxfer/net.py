@@ -15,15 +15,14 @@ batch, the unrolled convolution of Chellapilla, Puri & Simard (2006), so
 how far a batch is padded moves no probability unless a product is small
 enough for BLAS to round it its own way (see ``transfer.predict_dataset``).
 
-Input batches carry each row's length and either per-token embedding
-rows, gathered by ``make_batch`` from token ids into one embedding
-matrix, or, for eval, the padded ids themselves plus a ``GateTable``:
-every matrix row's LSTM input product, computed once for a whole
-dataset, which the LSTM steps read in place of multiplying each frame.
-Sequences shorter than the widest convolution kernel are treated as if
-padded with zero-embedding tokens up to that width, so every kernel
-always sees at least one window.  Frames past a row's length, floored
-at that width, are ignored whatever they hold.
+A batch is each row's length and its token ids into one embedding
+matrix, padded with id 0, the zero row.  No LSTM step multiplies a frame:
+it reads each frame's input product from a ``GateTable`` row, computed
+once per distinct id, and ``backward`` gathers each step's embedding rows
+for the input weights' gradient.  Sequences shorter than the widest
+convolution kernel are treated as if padded with id 0 up to that width,
+so every kernel always sees at least one window.  Frames past a row's
+length, floored at that width, are ignored whatever id they hold.
 """
 
 from __future__ import annotations
@@ -198,63 +197,71 @@ def _gate_scale(hidden: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateTable:
-    """Each embedding-matrix row's LSTM input product, per direction.
-
-    Row r of ``fw`` is ``matrix[r] @ lstm_fw_W`` with the i, f, o columns
-    halved (``_gate_scale``): bit for bit what a step of a batch of two or
-    more rows computes for a frame holding token r, when the matrix has
-    two or more rows; likewise ``bw``.  It holds 8H floats per matrix row
-    and is valid only while ``params``' LSTM weights stay as they were
-    when ``gate_table`` built it.
+    """Row r of ``fw`` is ``matrix[ids[r]] @ lstm_fw_W`` with the i, f, o
+    columns halved (``_gate_scale``); likewise ``bw``.  Rows past
+    ``len(ids)`` are padding.  The table holds 8H floats per row and is
+    valid only while ``params``' LSTM weights stay as they were when
+    ``gate_table`` built it.
     """
 
     params: NetworkParams
-    fw: np.ndarray  # (rows, 4H)
+    ids: np.ndarray  # (n,) ascending, ids[0] == 0
+    fw: np.ndarray  # (rows, 4H), rows the multiple of 4 at or above n
     bw: np.ndarray  # (rows, 4H)
 
 
-def gate_table(params: NetworkParams, matrix: np.ndarray) -> GateTable:
-    """Multiply every row of ``matrix`` through both LSTM directions' input
-    weights at once.  With OpenBLAS 0.3.31 a product's rows do not depend
-    on how many rows it has once it has two (seen for 2 to 129 rows and at
-    255, 256 and 1001; numpy sends a one-row product to gemv), so the
-    table's rows are the bytes of each step's own (B, E) @ (E, 4H)."""
-    scale = _gate_scale(params.hidden)
-    fw, bw = (matrix @ (params.arrays[f"lstm_{d}_W"] * scale) for d in ("fw", "bw"))
-    return GateTable(params=params, fw=fw, bw=bw)
+def _gate_rows(params: NetworkParams, matrix: np.ndarray, ids: np.ndarray, d: str) -> np.ndarray:
+    """Direction ``d``'s table rows for the ascending ``ids``, padded with
+    id 0 to a multiple of 4; one GEMM per 256 rows bounds the gathered copy."""
+    W = params.arrays[f"lstm_{d}_W"] * _gate_scale(params.hidden)
+    ids = np.pad(ids, (0, -len(ids) % 4))
+    rows = np.empty((len(ids), W.shape[1]))
+    for start in range(0, len(ids), 256):
+        np.matmul(matrix[ids[start : start + 256]], W, out=rows[start : start + 256])
+    return rows
+
+
+def gate_table(params: NetworkParams, matrix: np.ndarray, ids: np.ndarray) -> GateTable:
+    """Multiply the embedding rows of the distinct ``ids``, and of the
+    padding id 0, through both LSTM directions' input weights, one GEMM
+    per direction and block of up to 256 rows.
+
+    With OpenBLAS 0.3.31's SkylakeX kernels a GEMM row's bytes do not
+    depend on how many rows the product has once it has two (numpy sends a
+    one-row product to gemv), so each table row is the bytes of a step's
+    own (B, E) @ (E, 4H) for B >= 2.  The rows are padded to a multiple
+    of 4, since Haswell kernels round the rows past a product's last
+    multiple of 4 their own way, and so are the blocks.
+    """
+    ids = np.unique(np.append(np.asarray(ids, dtype=np.intp), 0))
+    return GateTable(params, ids, *(_gate_rows(params, matrix, ids, d) for d in ("fw", "bw")))
 
 
 @dataclass(frozen=True)
 class Batch:
-    """Input sequences, padded, with their lengths and side features.
+    """Padded token ids into one embedding matrix, lengths and side features."""
 
-    The sequences come as gathered ``embeddings``, or, in a batch for eval
-    only, as ``ids`` into a ``table``; ``embeddings`` is then None.
-    """
-
-    embeddings: np.ndarray | None  # (B, T, embed_dim), zero rows at padding
+    ids: np.ndarray  # (B, T) rows of ``matrix``, 0 at padding
+    matrix: np.ndarray  # (rows, embed_dim), row 0 the zero padding vector
     lengths: np.ndarray  # (B,) int, real tokens per row; frames past them are padding
     cluster_features: np.ndarray  # (B, cluster_width)
     labels: np.ndarray | None = None  # (B,) int64
-    ids: np.ndarray | None = None  # (B, T) rows of ``table``, 0 at padding
-    table: GateTable | None = None
 
 
 def make_batch(
     ids: list[np.ndarray],
-    matrix: np.ndarray | GateTable,
+    matrix: np.ndarray,
     cluster_features: np.ndarray | list,
     labels: np.ndarray | list | None = None,
     max_len: int = 100,
 ) -> Batch:
-    """Pad per-tweet token ids to a common length and gather their vectors.
+    """Pad per-tweet token ids to a common length with the padding id 0.
 
     ``ids`` index rows of ``matrix``, whose row 0 is the zero padding
     vector; id 0 never names a token.  Sequences longer than ``max_len``
-    tokens are truncated.  Padding rows are zero; each row's length says
-    where its padding starts.  Given a ``GateTable`` of the embedding
-    matrix in place of the matrix, the batch keeps the padded ids and the
-    table instead of gathering rows, and only eval ``forward`` accepts it.
+    tokens are truncated; each row's length says where its padding
+    starts.  The batch keeps a reference to ``matrix``, not a gathered
+    copy of its rows.
     """
     if not ids:
         raise ValueError("batch needs at least one sequence")
@@ -271,9 +278,7 @@ def make_batch(
         lab = np.asarray(labels, dtype=np.int64)
         if lab.shape != (len(clipped),):
             raise ValueError("labels must align with sequences")
-    if isinstance(matrix, GateTable):
-        return Batch(None, lengths, feats, lab, ids=padded, table=matrix)
-    return Batch(matrix[padded], lengths, feats, lab)
+    return Batch(padded, matrix, lengths, feats, lab)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -305,24 +310,21 @@ class _LstmTrace:
 
 
 def _lstm_direction(
-    x: np.ndarray,
+    pos: np.ndarray,
     eff: np.ndarray,
-    W: np.ndarray,
+    rows: np.ndarray,
     U: np.ndarray,
     b: np.ndarray,
     keep_trace: bool,
     h_out: np.ndarray,
-    rows: np.ndarray | None = None,
 ) -> _LstmTrace:
     """One direction, left to right; the backward one runs on time-flipped views.
 
     Each step's state goes into ``h_out``, a (B, T, H) array or view.
-    Step t's input product is ``x[:, t] @ W`` for a (B, T, E) ``x``.
-    Given ``rows``, one direction of a ``GateTable``, ``x`` is a (B, T) id
-    matrix and each step reads its product from ``rows``; ``W`` then goes
-    unused.
+    Step t's input products are ``rows[pos[:, t]]``, from one direction's
+    table rows and the (B, T) row of each frame.
     """
-    B, T = x.shape[:2]
+    B, T = pos.shape
     H = U.shape[0]
     h = np.zeros((B, H))
     c = np.zeros((B, H))
@@ -331,11 +333,10 @@ def _lstm_direction(
     # One tanh gives all four gates: map each t to scale * t + shift.
     scale = _gate_scale(H)
     shift = 1.0 - scale
-    Ws = W * scale if rows is None else None
     Us, bs = U * scale, b * scale
     for t in range(T):
         m = eff[:, t : t + 1]
-        z = x[:, t] @ Ws if rows is None else rows[x[:, t]]
+        z = rows[pos[:, t]]
         z += h @ Us
         z += bs
         gates = tr.gates[:, t] if keep_trace else z
@@ -357,16 +358,16 @@ def _lstm_direction(
 
 
 def _lstm_direction_backward(
-    x: np.ndarray,
+    matrix: np.ndarray,
+    ids: np.ndarray,
     eff: np.ndarray,
-    W: np.ndarray,
     U: np.ndarray,
     tr: _LstmTrace,
     d_out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    B, T, _ = x.shape
+    B, T = ids.shape
     H = U.shape[0]
-    dW = np.zeros_like(W)
+    dW = np.zeros((matrix.shape[1], 4 * H))
     dU = np.zeros_like(U)
     db = np.zeros(4 * H)
     dh_carry = np.zeros((B, H))
@@ -398,7 +399,7 @@ def _lstm_direction_backward(
             ],
             axis=1,
         )
-        dW += x[:, t].T @ dz
+        dW += matrix[ids[:, t]].T @ dz
         dU += h_prev.T @ dz
         db += dz.sum(axis=0)
         dh_carry = dh_prev + dz @ U.T
@@ -416,7 +417,7 @@ class _ConvTrace:
 @dataclass
 class ForwardCache:
     params: NetworkParams
-    emb: np.ndarray
+    ids: np.ndarray  # (B, T) batch ids, padded with 0 to the widest kernel
     eff: np.ndarray
     fw: _LstmTrace
     bw: _LstmTrace
@@ -441,6 +442,7 @@ def forward(
     mode: str = "train",
     dropout_seed: int = 0,
     dropout: float = 0.5,
+    table: GateTable | None = None,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network; returns class probabilities and ``backward``'s cache.
 
@@ -452,11 +454,12 @@ def forward(
     ``backward`` needs.  Train mode with ``dropout=0.0`` gives eval's
     probabilities bit for bit.
 
-    A batch of ``ids`` into a ``GateTable`` runs in eval mode only, since
-    ``backward`` reads the embeddings it does not gather.  Its LSTM steps
-    read each frame's input product from the table, where an embedding
-    batch multiplies the frame's embedding; the probabilities agree bit
-    for bit for B >= 2.
+    LSTM steps read ``table``, which must come from these params and
+    cover the batch's ids, or else rows built here over the batch's ids,
+    one direction at a time.  With OpenBLAS 0.3.31's SkylakeX kernels
+    these are the bytes of the per-frame (B, E) @ (E, 4H) product for
+    B >= 2; a one-row batch's differ in the last bits, since numpy sends
+    a one-row product to gemv.
 
     Every kernel's pre-activations come from one GEMM over all windows of
     the batch, so padding frames appended to a batch change no output
@@ -469,29 +472,27 @@ def forward(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout}")
-    table = batch.table
-    if table is not None and mode == "train":
-        raise ValueError("a gate-table batch runs in eval mode only; backward needs embeddings")
     if table is not None and table.params is not params:
         raise ValueError("gate table was built from different params")
-    # The (B, T, E) embeddings, or a table batch's (B, T) ids.
-    x = batch.embeddings if table is None else batch.ids
-    B, T = x.shape[:2]
-    if table is None and x.shape[2] != params.embed_dim:
-        raise ValueError(f"embeddings have dim {x.shape[2]}, network expects {params.embed_dim}")
+    ids = batch.ids
+    B, T = ids.shape
     if batch.cluster_features.shape != (B, params.cluster_width):
         raise ValueError(
             f"cluster features shaped {batch.cluster_features.shape}, "
             f"expected {(B, params.cluster_width)}"
         )
-    # Short sequences count as zero-padded up to the widest kernel:
-    # those extra steps are real (zero-vector, id 0) inputs, not masked out.
+    # Short sequences count as padded with id 0 up to the widest kernel:
+    # those extra steps are real (zero-vector) inputs, not masked out.
     min_len = max(params.kernels)
     if T < min_len:
-        x = np.concatenate([x, np.zeros((B, min_len - T, *x.shape[2:]), x.dtype)], axis=1)
+        ids = np.pad(ids, ((0, 0), (0, min_len - T)))
         T = min_len
     lengths = np.maximum(batch.lengths, min_len)
     eff = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
+    cover = np.unique(np.append(ids, 0)) if table is None else table.ids
+    pos = np.searchsorted(cover, ids)
+    if (cover[np.minimum(pos, len(cover) - 1)] != ids).any():
+        raise ValueError("gate table does not cover every id of the batch")
 
     keep = 1.0 - dropout
     lstm_mask = None
@@ -508,12 +509,13 @@ def forward(
     h_cat = np.empty((B, T, 2 * H))
     fw, bw = (
         _lstm_direction(
-            xd, e, *(params.arrays[f"lstm_{d}_{n}"] for n in "WUb"), traced, out,
-            rows=None if table is None else getattr(table, d),
+            p, e,
+            _gate_rows(params, batch.matrix, cover, d) if table is None else getattr(table, d),
+            params.arrays[f"lstm_{d}_U"], params.arrays[f"lstm_{d}_b"], traced, out,
         )
-        for d, xd, e, out in (
-            ("fw", x, eff, h_cat[:, :, :H]),
-            ("bw", x[:, ::-1], eff[:, ::-1], h_cat[:, ::-1, H:]),
+        for d, p, e, out in (
+            ("fw", pos, eff, h_cat[:, :, :H]),
+            ("bw", pos[:, ::-1], eff[:, ::-1], h_cat[:, ::-1, H:]),
         )
     )
     if not traced:
@@ -550,7 +552,7 @@ def forward(
     logits = a @ params.arrays["out_W"] + params.arrays["out_b"]
     probs = _softmax(logits)
     cache = ForwardCache(
-        params=params, emb=x, eff=eff, fw=fw, bw=bw, lstm_mask=lstm_mask,
+        params=params, ids=ids, eff=eff, fw=fw, bw=bw, lstm_mask=lstm_mask,
         h_drop=h_drop, conv=conv, z=z, a_pre=a_pre, a=a, probs=probs,
     ) if traced else None
     return probs, cache
@@ -618,13 +620,12 @@ def backward(
 
     d_h_cat = d_h_drop * cache.lstm_mask if cache.lstm_mask is not None else d_h_drop
     H = params.hidden
-    for direction, tr, x, eff, d_out in (
-        ("fw", cache.fw, cache.emb, cache.eff, d_h_cat[:, :, :H]),
-        ("bw", cache.bw, cache.emb[:, ::-1], cache.eff[:, ::-1], d_h_cat[:, ::-1, H:]),
+    for direction, tr, ids, eff, d_out in (
+        ("fw", cache.fw, cache.ids, cache.eff, d_h_cat[:, :, :H]),
+        ("bw", cache.bw, cache.ids[:, ::-1], cache.eff[:, ::-1], d_h_cat[:, ::-1, H:]),
     ):
         dW, dU, db = _lstm_direction_backward(
-            x, eff, params.arrays[f"lstm_{direction}_W"], params.arrays[f"lstm_{direction}_U"],
-            tr, d_out,
+            batch.matrix, ids, eff, params.arrays[f"lstm_{direction}_U"], tr, d_out
         )
         grads[f"lstm_{direction}_W"] = dW
         grads[f"lstm_{direction}_U"] = dU
@@ -703,12 +704,6 @@ def step(
         m_bar = (1.0 - mu_t) * g_hat + mu_next * m_hat
         params.arrays[n] -= state.lr * m_bar / (np.sqrt(v / v_corr) + EPSILON)
     return params, state
-
-
-def predict(params: NetworkParams, batch: Batch) -> np.ndarray:
-    """Eval-mode class predictions, ties to the lowest class id; keeps no trace."""
-    probs, _ = forward(params, batch, mode="eval")
-    return probs.argmax(axis=1)
 
 
 def gradient_check(

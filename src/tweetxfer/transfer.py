@@ -175,7 +175,7 @@ class EncodedDataset:
 
     ``matrix`` holds one embedding row per distinct token, after a zero
     row 0 that stands for padding, so memory grows with the number of
-    distinct tokens, not of tokens.  ``net.make_batch`` gathers the rows.
+    distinct tokens, not of tokens.  ``net.make_batch`` pads the ids.
     """
 
     ids: tuple[np.ndarray, ...]  # one int array per example, ids >= 1
@@ -213,9 +213,9 @@ def _token_ids(
         dtype=np.intp,
     )
     ids = tuple(np.split(flat, np.cumsum([len(tokens) for tokens in token_lists[:-1]])))
-    matrix = np.zeros((len(index) + 1, table.dim))
-    table.embed_tokens(list(index), out=matrix[1:])
-    return ids, matrix
+    # The matrix is built after the bucket draw, so it is not live at its peak.
+    vectors = table.embed_tokens(list(index))
+    return ids, np.concatenate([np.zeros((1, table.dim)), vectors])
 
 
 def encode_task(task: PretrainTask, table: EmbeddingTable, cluster_width: int) -> EncodedDataset:
@@ -262,14 +262,11 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
         yield order[start : start + batch_size]
 
 
-def _batch_from(
-    data: EncodedDataset, idx: np.ndarray, max_len: int, table: net.GateTable | None = None
-) -> net.Batch:
-    """The examples at ``idx``, gathered from ``data.matrix``, or as ids
-    into ``table`` when given."""
+def _batch_from(data: EncodedDataset, idx: np.ndarray, max_len: int) -> net.Batch:
+    """The examples at ``idx``, as ids into ``data.matrix``."""
     return net.make_batch(
         [data.ids[i] for i in idx],
-        data.matrix if table is None else table,
+        data.matrix,
         data.cluster_features[idx],
         data.labels[idx],
         max_len=max_len,
@@ -333,6 +330,8 @@ def _run_epoch(
 # multiple of 4 whose paper-size dense product (16 x 651 x 100) is past
 # OpenBLAS's small-matrix rounding (see ``predict_dataset``).
 _ROUND_ROWS = 16
+# Eval builds one gate table per chunk of at most this many sorted rows.
+_CHUNK_ROWS = 256
 
 
 def predict_dataset(
@@ -345,23 +344,25 @@ def predict_dataset(
     back by index.  A batch short of a multiple of 16 rows repeats its
     last row up to one and drops the extra outputs.
 
-    One call builds a ``net.GateTable`` of ``data.matrix``, 8H floats per
-    matrix row (24 MiB for 4,000 distinct tokens at H = 100), and every
-    LSTM step reads its input products from it in place of multiplying
-    each frame.  The default of 16 rows pays for the table: a forward's
-    largest buffer, the widest kernel's windows, grows with the batch,
-    while eval throughput at paper sizes is flat from 16 to 64 rows.
+    Each chunk of at most 256 sorted rows, a whole number of batches,
+    gets one ``net.GateTable`` over its distinct tokens, 8H floats each,
+    which all its batches read, so eval memory does not grow with the
+    dataset's vocabulary.  Batches are small because a forward's largest
+    buffer, the widest kernel's windows, grows with the batch, while eval
+    throughput at paper sizes is flat from 16 to 64 rows.
 
     At one BLAS thread, a tweet's probabilities do not depend on the other
     tweets in ``data``: ``test_transfer.TestDatasetInvariance`` checks
     this at paper sizes with the coarse head and 51 cluster features
-    (OpenBLAS 0.3.31).  It holds because every batch has a multiple of 16
-    rows.  OpenBLAS rounds a product of at most 10^6 multiply-adds its own
-    way, as the dense layer's (B x 651 x 100) is for B <= 15, and the
-    head's (B x 100 x 2) rounds the rows past B's last multiple of 4 its
-    own way; batches whose size is a multiple of 4 and at least 16 agree
-    with one another, and padding a batch of 8 or more rows moves no
-    probability (``test_net.TestShapeInvariance``).
+    (OpenBLAS 0.3.31, SkylakeX kernels).  It holds because every batch has
+    a multiple of 16 rows and a table row's bytes do not depend on the
+    other rows of its table (``net.gate_table``).  OpenBLAS rounds a
+    product of at most 10^6 multiply-adds its own way, as the dense
+    layer's (B x 651 x 100) is for B <= 15, and the head's (B x 100 x 2)
+    rounds the rows past B's last multiple of 4 its own way; batches
+    whose size is a multiple of 4 and at least 16 agree with one another,
+    and padding a batch of 8 or more rows moves no probability
+    (``test_net.TestShapeInvariance``).
     """
     return _probabilities(params, data, batch_size, max_len).argmax(axis=1)
 
@@ -370,13 +371,18 @@ def _probabilities(
     params: net.NetworkParams, data: EncodedDataset, batch_size: int, max_len: int
 ) -> np.ndarray:
     """``predict_dataset``'s eval probabilities, (examples, classes), in input order."""
-    table = net.gate_table(params, data.matrix)
     probs = np.empty((len(data), params.n_classes))
     order = np.argsort([len(s) for s in data.ids], kind="stable")
-    for idx in _batches(len(data), batch_size, order):
-        rows = np.pad(idx, (0, -len(idx) % _ROUND_ROWS), mode="edge")
-        batch = _batch_from(data, rows, max_len, table)
-        probs[idx] = net.forward(params, batch, mode="eval")[0][: len(idx)]
+    chunk_rows = batch_size * max(1, _CHUNK_ROWS // batch_size)
+    for chunk in _batches(len(data), chunk_rows, order):
+        table = net.gate_table(
+            params, data.matrix, np.concatenate([data.ids[i][:max_len] for i in chunk])
+        )
+        for idx in _batches(len(chunk), batch_size, chunk):
+            rows = np.pad(idx, (0, -len(idx) % _ROUND_ROWS), mode="edge")
+            batch = _batch_from(data, rows, max_len)
+            probs[idx] = net.forward(params, batch, mode="eval", table=table)[0][: len(idx)]
+        del table  # before the next chunk's is built
     return probs
 
 

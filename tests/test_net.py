@@ -27,7 +27,6 @@ from tweetxfer.net import (
     load_checkpoint,
     loss,
     make_batch,
-    predict,
     save_checkpoint,
     step,
 )
@@ -168,20 +167,31 @@ def _rows_batch(seqs, cluster_features, labels=None, max_len=100):
     return make_batch(*stack_rows(seqs), cluster_features, labels, max_len=max_len)
 
 
+def _gathered(batch):
+    """The batch's (B, T, E) embedding rows, zero at padding."""
+    return batch.matrix[batch.ids]
+
+
+def _with_ids(batch, ids):
+    """``batch`` with other (B, T) ids into the same matrix."""
+    return Batch(ids, batch.matrix, batch.lengths, batch.cluster_features, batch.labels)
+
+
 class TestMakeBatch:
     def test_pads_and_masks(self):
         rng = np.random.default_rng(0)
         seqs = [rng.normal(size=(4, 5)), rng.normal(size=(2, 5))]
         batch = _rows_batch(seqs, np.zeros((2, 0)), [0, 1])
-        assert batch.embeddings.shape == (2, 4, 5)
+        assert _gathered(batch).shape == (2, 4, 5)
         np.testing.assert_array_equal(batch.lengths, [4, 2])
-        np.testing.assert_array_equal(batch.embeddings[1, 2:], 0.0)
-        np.testing.assert_array_equal(batch.embeddings[1, :2], seqs[1])
+        np.testing.assert_array_equal(batch.ids[1, 2:], 0)
+        np.testing.assert_array_equal(_gathered(batch)[1, 2:], 0.0)
+        np.testing.assert_array_equal(_gathered(batch)[1, :2], seqs[1])
 
     def test_truncates_to_max_len(self):
         seqs = [np.ones((30, 3))]
         batch = _rows_batch(seqs, np.zeros((1, 0)), max_len=10)
-        assert batch.embeddings.shape == (1, 10, 3)
+        assert _gathered(batch).shape == (1, 10, 3)
         np.testing.assert_array_equal(batch.lengths, [10])
 
     def test_repeated_ids_share_a_row(self):
@@ -189,14 +199,15 @@ class TestMakeBatch:
         matrix[0] = 0.0
         ids = [np.array([2, 2, 1]), np.zeros(0, dtype=np.intp)]
         batch = make_batch(ids, matrix, np.zeros((2, 0)))
-        assert batch.embeddings.shape == (2, 3, 3)
-        np.testing.assert_array_equal(batch.embeddings[0], matrix[[2, 2, 1]])
-        np.testing.assert_array_equal(batch.embeddings[1], 0.0)
+        assert _gathered(batch).shape == (2, 3, 3)
+        assert batch.matrix is matrix
+        np.testing.assert_array_equal(_gathered(batch)[0], matrix[[2, 2, 1]])
+        np.testing.assert_array_equal(_gathered(batch)[1], 0.0)
         np.testing.assert_array_equal(batch.lengths, [3, 0])
 
     def test_all_empty_is_one_masked_step(self):
         batch = make_batch([np.zeros(0, dtype=np.intp)], np.zeros((1, 4)), np.zeros((1, 0)))
-        assert batch.embeddings.shape == (1, 1, 4)
+        assert _gathered(batch).shape == (1, 1, 4)
         np.testing.assert_array_equal(batch.lengths, [0])
 
     def test_validation(self):
@@ -246,27 +257,22 @@ class TestForward:
         """Padding frames appended on the right leave eval output intact,
         and frames past each row's length, floored at the widest kernel,
         count for nothing in eval, train or backward even when they hold
-        noise: the lengths are the only validity signal."""
+        token ids: the lengths are the only validity signal."""
         params = _small_params()
         batch = _small_batch()
-        B, T, E = batch.embeddings.shape
+        B, T = batch.ids.shape
         extra = 3
-        wide = Batch(
-            embeddings=np.concatenate([batch.embeddings, np.zeros((B, extra, E))], axis=1),
-            lengths=batch.lengths,
-            cluster_features=batch.cluster_features,
-            labels=batch.labels,
-        )
+        wide = _with_ids(batch, np.pad(batch.ids, ((0, 0), (0, extra))))
         a, _ = forward(params, batch, mode="eval")
         b, _ = forward(params, wide, mode="eval")
         np.testing.assert_array_equal(a, b)
 
         rng = np.random.default_rng(5)
-        noisy_emb = wide.embeddings.copy()
+        noisy_ids = wide.ids.copy()
         for row, start in enumerate(np.maximum(batch.lengths, max(params.kernels))):
-            noisy_emb[row, start:] = rng.normal(size=(T + extra - start, E))
-        noisy = Batch(noisy_emb, wide.lengths, wide.cluster_features, wide.labels)
-        assert not np.array_equal(noisy.embeddings, wide.embeddings)
+            noisy_ids[row, start:] = rng.integers(1, len(batch.matrix), T + extra - start)
+        noisy = _with_ids(wide, noisy_ids)
+        assert not np.array_equal(_gathered(noisy), _gathered(wide))
         for mode in ("eval", "train"):
             zeros_probs, zeros_cache = forward(params, wide, mode=mode, dropout_seed=2)
             noise_probs, noise_cache = forward(params, noisy, mode=mode, dropout_seed=2)
@@ -283,9 +289,10 @@ class TestForward:
         rng = np.random.default_rng(3)
         seq = rng.normal(size=(2, 16))  # below the widest kernel, 3
         short = _rows_batch([seq], np.zeros((1, 0)), [0])
-        assert short.embeddings.shape[1] == 2
+        assert short.ids.shape[1] == 2
         explicit = Batch(
-            embeddings=np.concatenate([seq[None], np.zeros((1, 1, 16))], axis=1),
+            ids=np.pad(short.ids, ((0, 0), (0, 1))),
+            matrix=short.matrix,
             lengths=np.array([3]),
             cluster_features=np.zeros((1, 0)),
             labels=np.array([0]),
@@ -303,7 +310,8 @@ class TestForward:
             forward(params, batch, dropout=1.0)
         bad_dim = _small_batch()
         bad_dim = Batch(
-            embeddings=bad_dim.embeddings[:, :, :8],
+            ids=bad_dim.ids,
+            matrix=bad_dim.matrix[:, :8],
             lengths=bad_dim.lengths,
             cluster_features=bad_dim.cluster_features,
             labels=bad_dim.labels,
@@ -311,7 +319,8 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, bad_dim)
         bad_feats = Batch(
-            embeddings=batch.embeddings,
+            ids=batch.ids,
+            matrix=batch.matrix,
             lengths=batch.lengths,
             cluster_features=np.zeros((4, 2)),
             labels=batch.labels,
@@ -355,9 +364,12 @@ class TestLstmCell:
             expected = _reference_lstm(x, eff, W, U, b, reverse)
             # The backward direction runs left to right on time-flipped views.
             flip = slice(None, None, -1) if reverse else slice(None)
+            # Every frame is its own token, so its table row is its product.
+            rows = x.reshape(B * T, E) @ (W * net._gate_scale(H))
+            pos = np.arange(B * T).reshape(B, T)
             for keep_trace in (True, False):
                 tr = net._lstm_direction(
-                    x[:, flip], eff[:, flip], W, U, b, keep_trace, np.empty((B, T, H))
+                    pos[:, flip], eff[:, flip], rows, U, b, keep_trace, np.empty((B, T, H))
                 )
                 np.testing.assert_allclose(tr.h_out[:, flip], expected, rtol=0, atol=1e-12)
 
@@ -366,7 +378,8 @@ class TestLstmCell:
         params = _small_params()
         batch = _small_batch()
         loud = Batch(
-            embeddings=batch.embeddings * 1e3,
+            ids=batch.ids,
+            matrix=batch.matrix * 1e3,
             lengths=batch.lengths,
             cluster_features=batch.cluster_features,
             labels=batch.labels,
@@ -374,7 +387,6 @@ class TestLstmCell:
         for mode in ("eval", "train"):
             with np.errstate(all="raise"):
                 probs, _ = forward(params, loud, mode=mode, dropout_seed=1)
-                predict(params, loud)
             assert np.isfinite(probs).all()
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -444,7 +456,7 @@ class TestGradients:
     def test_labels_required(self):
         params = _small_params()
         batch = _small_batch()
-        unlabeled = Batch(batch.embeddings, batch.lengths, batch.cluster_features, None)
+        unlabeled = Batch(batch.ids, batch.matrix, batch.lengths, batch.cluster_features, None)
         _, cache = forward(params, unlabeled)
         with pytest.raises(ValueError):
             backward(params, unlabeled, cache)
@@ -545,8 +557,8 @@ class TestPinnedOutputs:
     """Eval probabilities and every gradient array, byte for byte, signed
     zeros included, on mixed lengths with one sequence below the widest
     kernel.  Recorded before the training trace was cut down to what
-    ``backward`` reads, with OpenBLAS 0.3.31 on x86-64; other BLAS builds
-    may round differently in the last bits."""
+    ``backward`` reads, with OpenBLAS 0.3.31's SkylakeX kernels on x86-64;
+    other BLAS builds and kernels may round differently in the last bits."""
 
     @pytest.mark.parametrize("key", list(_PINNED))
     def test_matches_recorded_digest(self, pinned_digests, key):
@@ -572,10 +584,9 @@ def _shape_invariance():
 
     def probs(seqs, feats, frames=0):
         batch = _rows_batch(seqs, feats)
-        B, T, E = batch.embeddings.shape
+        T = batch.ids.shape[1]
         if frames > T:
-            wide = np.concatenate([batch.embeddings, np.zeros((B, frames - T, E))], axis=1)
-            batch = Batch(wide, batch.lengths, batch.cluster_features)
+            batch = _with_ids(batch, np.pad(batch.ids, ((0, 0), (0, frames - T))))
         return forward(params, batch, mode="eval")[0]
 
     def rows(n, lo, hi):
@@ -604,11 +615,11 @@ class TestShapeInvariance:
     """The determinism promise of ``transfer.predict_dataset``, at one BLAS
     thread: in batches of 8 or more, padding never moves an eval
     probability, and batches of 16, 20, 48, 64 and 256 agree bit for bit at
-    equal padding.  Smaller batches may not: OpenBLAS 0.3.31 rounds a product of
-    at most 10^6 multiply-adds its own way, which the dense layer's
-    (B x 651 x 100) is for B <= 15, and the widest kernel's
-    (B*P x 1000 x 200) is for B*P <= 5.  So padding a batch of one row
-    can move its probabilities, and so can padding 2-4 very short rows."""
+    equal padding.  Smaller batches may not: OpenBLAS 0.3.31 with SkylakeX
+    kernels rounds a product of at most 10^6 multiply-adds its own way,
+    which the dense layer's (B x 651 x 100) is for B <= 15, and the widest
+    kernel's (B*P x 1000 x 200) is for B*P <= 5.  So padding a batch of one
+    row can move its probabilities, and so can padding 2-4 very short rows."""
 
     @pytest.fixture(scope="class")
     def changed(self):
@@ -727,12 +738,6 @@ class TestOptimizer:
 
 
 class TestPredict:
-    def test_matches_argmax_of_eval_probs(self):
-        params = _small_params(seed=6)
-        batch = _small_batch(seed=6)
-        probs, _ = forward(params, batch, mode="eval")
-        np.testing.assert_array_equal(predict(params, batch), probs.argmax(axis=1))
-
     @pytest.mark.parametrize(
         "params,batch",
         [
@@ -759,7 +764,6 @@ class TestPredict:
         free, none = forward(params, batch, mode="eval")
         assert cache is not None and none is None
         assert free.tobytes() == traced.tobytes()
-        np.testing.assert_array_equal(predict(params, batch), traced.argmax(axis=1))
 
     @pytest.mark.parametrize("batch,t", [(64, 20), (8, 7)])
     def test_holds_under_half_the_memory_of_a_traced_forward(self, batch, t):
@@ -775,7 +779,7 @@ class TestPredict:
                 tracemalloc.stop()
 
         traced = peak(lambda: forward(params, data, mode="train", dropout=0.0))
-        assert peak(lambda: predict(params, data)) < 0.5 * traced
+        assert peak(lambda: forward(params, data, mode="eval")) < 0.5 * traced
 
 
 class TestChecksum:

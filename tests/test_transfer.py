@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from test_net import _in_one_thread
+from test_net import _gathered, _in_one_thread
 
 from tweetxfer import lda, net, textprep, transfer
 from tweetxfer.corpus import RawTweet
@@ -285,9 +285,10 @@ class TestEncoding:
         idx = np.arange(len(data))
         batch = transfer._batch_from(data, idx, max_len=7)
         ref = _ref_batch(tokens, table, data.cluster_features, data.labels, max_len=7)
-        assert batch.embeddings.shape == (5, 7, 6)
-        for field in ("embeddings", "lengths", "cluster_features", "labels"):
-            np.testing.assert_array_equal(getattr(batch, field), getattr(ref, field))
+        assert batch.matrix is data.matrix
+        assert _gathered(batch).shape == (5, 7, 6)
+        for field, want in ref.items():
+            np.testing.assert_array_equal(_batch_field(batch, field), want)
 
     def test_encode_task_ids_match_per_token_batches(self):
         tweets, _ = emoji_tweets(30, seed=2)
@@ -303,8 +304,8 @@ class TestEncoding:
         idx = np.arange(len(data))
         batch = transfer._batch_from(data, idx, max_len=4)
         ref = _ref_batch(tokens, table, data.cluster_features, data.labels, max_len=4)
-        for field in ("embeddings", "lengths", "cluster_features", "labels"):
-            np.testing.assert_array_equal(getattr(batch, field), getattr(ref, field))
+        for field, want in ref.items():
+            np.testing.assert_array_equal(_batch_field(batch, field), want)
 
     def test_encode_labeled_validation(self):
         tweets = separable_labeled(4, seed=2)
@@ -423,17 +424,22 @@ def _tiny_task(n=24, seed=0):
 
 def _ref_batch(token_lists, table, cluster_features, labels, max_len):
     """The per-token layout that token ids replaced: each tweet's stacked
-    vectors, copied row by row into a zero-padded batch."""
+    vectors, copied row by row into a zero-padded (B, T, E) array, with
+    the batch's other fields."""
     sequences = [table.embed_tokens(tokens)[:max_len] for tokens in token_lists]
     t_max = max(1, max(len(s) for s in sequences))
     emb = np.zeros((len(sequences), t_max, table.dim))
     for i, s in enumerate(sequences):
         emb[i, : len(s)] = s
-    return net.Batch(
-        embeddings=emb, lengths=np.array([len(s) for s in sequences]),
-        cluster_features=np.asarray(cluster_features, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
+    return {
+        "embeddings": emb, "lengths": np.array([len(s) for s in sequences]),
+        "cluster_features": np.asarray(cluster_features, dtype=np.float64),
+        "labels": np.asarray(labels, dtype=np.int64),
+    }
+
+
+def _batch_field(batch, field):
+    return _gathered(batch) if field == "embeddings" else getattr(batch, field)
 
 
 def _tiny_params(n_classes, cluster_width, seed):
@@ -660,7 +666,7 @@ class TestPredictDataset:
                 [data.ids[i]], data.matrix, data.cluster_features[i : i + 1],
                 data.labels[i : i + 1],
             )
-            singles.append(int(net.predict(params, batch)[0]))
+            singles.append(int(net.forward(params, batch, mode="eval")[0].argmax()))
         np.testing.assert_array_equal(preds, singles)
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64, 256])
@@ -677,7 +683,7 @@ class TestPredictDataset:
         )
         params = _tiny_params(3, 3, 4)
         singles = [
-            int(net.predict(params, net.make_batch([s], data.matrix, f[None]))[0])
+            int(net.forward(params, net.make_batch([s], data.matrix, f[None]), mode="eval")[0].argmax())
             for s, f in zip(data.ids, data.cluster_features)
         ]
         assert len(set(singles)) > 1
@@ -714,6 +720,29 @@ class TestPredictDataset:
         narrow = _length_sorted_probs(params, data, 64)
         np.testing.assert_allclose(narrow, wide, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(narrow.argmax(axis=1), wide.argmax(axis=1))
+
+    def test_each_chunk_table_covers_its_batches(self, monkeypatch):
+        # 300 rows, some empty and some past max_len: a chunk of 256 rows
+        # and one of 44, each scored through its own table, against
+        # batches that build their own.
+        params, data = self._random_dataset([(0, 1, 4), (1, 26, 290), (40, 41, 6)], vocab=400)
+        tables = []
+        build = net.gate_table
+        monkeypatch.setattr(net, "gate_table", lambda *a: tables.append(a[2]) or build(*a))
+        got = transfer._probabilities(params, data, 16, 20)
+        order = np.argsort([len(s) for s in data.ids], kind="stable")
+        assert [len(ids) for ids in tables] == [
+            sum(min(len(data.ids[i]), 20) for i in chunk) for chunk in (order[:256], order[256:])
+        ]
+        monkeypatch.undo()
+        want = np.empty_like(got)
+        for start in range(0, len(data), 16):
+            idx = order[start : start + 16]
+            rows = np.pad(idx, (0, -len(idx) % 16), mode="edge")
+            want[idx] = net.forward(params, transfer._batch_from(data, rows, 20), mode="eval")[0][
+                : len(idx)
+            ]
+        assert got.tobytes() == want.tobytes()
 
     @staticmethod
     def _random_dataset(length_ranges, vocab=40):
@@ -756,29 +785,12 @@ def _encode_words(tweets, vectors, feats):
     return transfer.EncodedDataset(ids, matrix, feats, np.zeros(len(tweets), dtype=np.int64))
 
 
-def _raw_probs(params, data, batch_size, max_len):
-    """``transfer._probabilities``' batches and row repeats, but each batch
-    gathers its embeddings and multiplies every frame."""
-    order = np.argsort([len(s) for s in data.ids], kind="stable")
-    probs = np.empty((len(data), params.n_classes))
-    for start in range(0, len(data), batch_size):
-        idx = order[start : start + batch_size]
-        rows = np.pad(idx, (0, -len(idx) % 16), mode="edge")
-        batch = transfer._batch_from(data, rows, max_len)
-        probs[idx] = net.forward(params, batch, mode="eval")[0][: len(idx)]
-    return probs
-
-
 def _dataset_invariance():
     """Rows whose ``predict_dataset`` probabilities differ, at the paper's
-    sizes with the coarse head and 51 cluster features.
-
-    ``subset``: 150 tweets of 1-45 words, one cut by ``max_len`` = 40, are
-    scored together, then in random subsets of each size, each subset
-    encoded on its own as a smaller dataset would be.  ``raw``: the full
-    set, and a set of one word whose matrix has two rows, scored through
-    the gate table against embedding batches.
-    """
+    sizes with the coarse head and 51 cluster features: 150 tweets of 1-45
+    words, one cut by ``max_len`` = 40, are scored together, then in random
+    subsets of each size, each subset encoded on its own as a smaller
+    dataset would be."""
     params = net.init_params(2, 51, seed=3)
     rng = np.random.default_rng(12)
     vectors = rng.normal(0.0, 0.3, (500, 300))
@@ -795,45 +807,101 @@ def _dataset_invariance():
         part = _encode_words([tweets[i] for i in pick], vectors, feats[pick])
         got = transfer._probabilities(params, part, 16, max_len)
         subset[str(size)] = int((got != whole[pick]).any(axis=1).sum())
-    one_word = _encode_words([[7] * int(k) for k in range(1, 21)], vectors, feats[:20])
-    raw = {}
-    for name, d in (("whole", data), ("two_row_matrix", one_word)):
-        got = transfer._probabilities(params, d, 16, max_len)
-        raw[name] = int((got != _raw_probs(params, d, 16, max_len)).any(axis=1).sum())
-    return {"subset": subset, "raw": raw, "matrix_rows": one_word.matrix.shape[0]}
+    return {"subset": subset}
+
+
+def _gate_rows_against_frames():
+    """Frames whose gate-table row differs from the per-frame input product
+    ``x[:, t] @ (W * _gate_scale(H))`` of their batch, for each direction,
+    at the paper's sizes.
+
+    ``b2``, ``b3``, ``b16`` and ``b128`` are batches of 1-30 random words
+    over a 500-word vocabulary, whose short rows bring in padding id 0;
+    each batch's table is built over its own ids, as a forward builds one.
+    ``one_token`` is a dataset of one word, repeated 1-20 times, whose
+    matrix has two rows, so its 256-row chunk table covers one distinct
+    token; its frames are the 16-row batches ``predict_dataset`` forms.
+    """
+    params = net.init_params(2, 51, seed=3)
+    rng = np.random.default_rng(13)
+    vectors = rng.normal(0.0, 0.3, (500, 300))
+    scale = net._gate_scale(params.hidden)
+
+    def differing(batch, table):
+        x = batch.matrix[batch.ids]
+        pos = np.searchsorted(table.ids, batch.ids)
+        count = 0
+        for d in ("fw", "bw"):
+            W = params.arrays[f"lstm_{d}_W"] * scale
+            rows = getattr(table, d)
+            for t in range(x.shape[1]):
+                count += int((rows[pos[:, t]] != x[:, t] @ W).any(axis=1).sum())
+        return count
+
+    out = {}
+    for B in (2, 3, 16, 128):
+        tweets = [rng.integers(0, 500, int(k)) for k in rng.integers(1, 31, B)]
+        data = _encode_words(tweets, vectors, np.zeros((B, 51)))
+        batch = transfer._batch_from(data, np.arange(B), 100)
+        assert (batch.ids == 0).any()
+        out[f"b{B}"] = differing(batch, net.gate_table(params, batch.matrix, batch.ids))
+    one_word = _encode_words([[7] * int(k) for k in range(1, 21)], vectors, np.zeros((20, 51)))
+    table = net.gate_table(params, one_word.matrix, np.concatenate(one_word.ids))
+    out["one_token"] = sum(
+        differing(transfer._batch_from(one_word, idx, 100), table)
+        for idx in (np.arange(16), np.pad(np.arange(16, 20), (0, 12), mode="edge"))
+    )
+    out["matrix_rows"] = one_word.matrix.shape[0]
+    return out
 
 
 class TestDatasetInvariance:
-    """At one BLAS thread and paper sizes, a tweet's probabilities do not
-    depend on the other tweets scored with it, and the gate table gives
-    the embedding batches' probabilities byte for byte."""
+    """At one BLAS thread and paper sizes, with OpenBLAS 0.3.31's SkylakeX
+    kernels, a tweet's probabilities do not depend on the other tweets
+    scored with it, and a gate-table row holds the bytes of the per-frame
+    input product it replaces."""
 
     @pytest.fixture(scope="class")
     def changed(self):
         return _in_one_thread("_dataset_invariance", module="test_transfer")
 
+    @pytest.fixture(scope="class")
+    def gate_rows(self):
+        return _in_one_thread("_gate_rows_against_frames", module="test_transfer")
+
     def test_subsets_score_as_the_whole_set(self, changed):
         assert changed["subset"] == {"1": 0, "5": 0, "17": 0, "51": 0, "63": 0}
 
-    def test_gate_table_matches_embedding_batches(self, changed):
-        assert changed["matrix_rows"] == 2
-        assert changed["raw"] == {"whole": 0, "two_row_matrix": 0}
+    def test_gate_table_rows_match_per_frame_products(self, gate_rows):
+        assert gate_rows["matrix_rows"] == 2
+        assert {k: v for k, v in gate_rows.items() if k != "matrix_rows"} == {
+            "b2": 0, "b3": 0, "b16": 0, "b128": 0, "one_token": 0,
+        }
 
 
 class TestGateTableBatch:
-    def test_eval_only(self):
-        params = _tiny_params(2, 0, 1)
-        data = encode_labeled(separable_labeled(6, seed=2), "coarse", _table())
-        table = net.gate_table(params, data.matrix)
-        batch = transfer._batch_from(data, np.arange(len(data)), 100, table)
-        assert batch.embeddings is None and batch.ids.shape[0] == len(data)
-        net.forward(params, batch, mode="eval")
-        with pytest.raises(ValueError, match="eval mode only"):
-            net.forward(params, batch, mode="train")
-
     def test_refuses_a_table_of_other_params(self):
         data = encode_labeled(separable_labeled(6, seed=2), "coarse", _table())
-        table = net.gate_table(_tiny_params(2, 0, 1), data.matrix)
-        batch = transfer._batch_from(data, np.arange(len(data)), 100, table)
+        batch = transfer._batch_from(data, np.arange(len(data)), 100)
+        table = net.gate_table(_tiny_params(2, 0, 1), data.matrix, batch.ids)
         with pytest.raises(ValueError, match="different params"):
-            net.forward(_tiny_params(2, 0, 1), batch, mode="eval")
+            net.forward(_tiny_params(2, 0, 1), batch, mode="eval", table=table)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_refuses_a_table_that_lacks_an_id_of_the_batch(self, mode):
+        params = _tiny_params(2, 0, 1)
+        data = encode_labeled(separable_labeled(6, seed=2), "coarse", _table())
+        batch = transfer._batch_from(data, np.arange(len(data)), 100)
+        ids = np.unique(batch.ids)
+        assert len(ids) > 3
+        # Without the largest id, that id's search lands past the table's
+        # end; without a middle one, on the next id's row.
+        for missing in (ids[-1], ids[len(ids) // 2]):
+            table = net.gate_table(params, data.matrix, ids[ids != missing])
+            with pytest.raises(ValueError, match="does not cover"):
+                net.forward(params, batch, mode=mode, table=table)
+        covering = net.gate_table(params, data.matrix, ids)
+        assert (
+            net.forward(params, batch, mode=mode, table=covering)[0].tobytes()
+            == net.forward(params, batch, mode=mode)[0].tobytes()
+        )
